@@ -115,8 +115,8 @@ _DOT_SHAPES = {"source": "circle", "sink": "doublecircle", "saddle": "diamond"}
 def _cmd_export_dot(args) -> int:
     flow = _load_flow(args.flow)
     lines = ["digraph flow {"]
-    for v in flow.vertices():
-        lines.append(f'  "{v}" [shape={_DOT_SHAPES[flow.kinds[v]]}];')
+    for v, kind in zip(flow.vertex_ids, flow.kinds):
+        lines.append(f'  "{v}" [shape={_DOT_SHAPES[kind]}];')
     for tail, head in flow.edges():
         lines.append(f'  "{tail}" -> "{head}";')
     lines.append("}")

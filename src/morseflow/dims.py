@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .singularity import FunctionProfile, ProfileCounts, check_profile_consistency, profile_counts
+from .singularity import FunctionProfile, check_profile_consistency, profile_counts
 
 
 class InvalidEulerCharacteristic(ValueError):
@@ -81,27 +81,35 @@ def normalized_classifying_dim(profile: FunctionProfile) -> int:
     return via_restriction
 
 
-def _require_morse_with_extrema(profile: FunctionProfile, counts: ProfileCounts) -> None:
+def _morse_saddles(profile: FunctionProfile) -> int:
+    """Saddle count of a Morse profile with both extremum types; the guard
+    of the Morse-only dimensions."""
+    counts = profile_counts(profile)
     if not profile.is_morse():
         raise NonMorseProfile(f"profile contains degenerate labels: {profile.to_json()['labels']}")
     if counts.minima < 1 or counts.maxima < 1:
         raise ValueError("Morse profile must have at least one minimum and one maximum")
+    return counts.saddles
+
+
+def _orbit_space_dim(saddles: int) -> int:
+    return 2 * saddles
+
+
+def _orbit_fibration_dim(saddles: int, chi: int) -> int:
+    return saddles + 2 * num_marked_points(chi) - 1
 
 
 def flow_orbit_space_dim(profile: FunctionProfile) -> int:
     """Dimension of the orbit space of gradient-like flows with enumerated
     extrema: twice the saddle count.  Morse profiles only."""
-    c = profile_counts(profile)
-    _require_morse_with_extrema(profile, c)
-    return 2 * c.saddles
+    return _orbit_space_dim(_morse_saddles(profile))
 
 
 def orbit_fibration_dim(profile: FunctionProfile) -> int:
     """Dimension of the fibration by isotopy orbits on the normalized
     classifying manifold: saddles + 2s - 1.  Morse profiles only."""
-    c = profile_counts(profile)
-    _require_morse_with_extrema(profile, c)
-    return c.saddles + 2 * num_marked_points(profile.euler_characteristic) - 1
+    return _orbit_fibration_dim(_morse_saddles(profile), profile.euler_characteristic)
 
 
 def config_space_dim(chi: int) -> int:
@@ -164,15 +172,14 @@ def report(profile: FunctionProfile) -> DimensionReport:
     """
     c = profile_counts(profile)
     chi = profile.euler_characteristic
-    s = num_marked_points(chi)
     morse = profile.is_morse()
     return DimensionReport(
-        marked_points=s,
+        marked_points=num_marked_points(chi),
         classifying_dim=classifying_dim(profile),
         normalized_classifying_dim=normalized_classifying_dim(profile),
-        orbit_space_dim=2 * c.saddles if morse else None,
-        orbit_fibration_dim=c.saddles + 2 * s - 1,
-        config_space_dim=2 * s,
+        orbit_space_dim=_orbit_space_dim(c.saddles) if morse else None,
+        orbit_fibration_dim=_orbit_fibration_dim(c.saddles, chi),
+        config_space_dim=config_space_dim(chi),
         homotopy_type=orbit_homotopy_type(chi, c.saddles),
         formal_fields=() if morse else ("orbit_fibration_dim", "homotopy_type"),
         violations=tuple(check_profile_consistency(profile)),

@@ -32,6 +32,11 @@ class SpecOutOfBounds(ValueError):
     """Requested saddle count outside the supported range 0..3."""
 
 
+def _check_bounds(k: int, what: str = "saddle count") -> None:
+    if not 0 <= k <= MAX_SADDLES:
+        raise SpecOutOfBounds(f"{what} must be in 0..{MAX_SADDLES}, got {k}")
+
+
 @dataclass(frozen=True)
 class EnumSpec:
     """What to enumerate: saddle count plus optional filters."""
@@ -42,8 +47,7 @@ class EnumSpec:
     genus: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.saddles <= MAX_SADDLES:
-            raise SpecOutOfBounds(f"saddle count must be in 0..{MAX_SADDLES}, got {self.saddles}")
+        _check_bounds(self.saddles)
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,7 @@ _CLASS_CACHE: dict = {}
 
 def enumerate_classes(k: int) -> tuple[ClassRecord, ...]:
     """All equivalence classes of flows with k saddles, sorted by code."""
-    if not 0 <= k <= MAX_SADDLES:
-        raise SpecOutOfBounds(f"saddle count must be in 0..{MAX_SADDLES}, got {k}")
+    _check_bounds(k)
     if k not in _CLASS_CACHE:
         _CLASS_CACHE[k] = tuple(_generate(k))
     return _CLASS_CACHE[k]
@@ -131,8 +134,7 @@ def count_table(kmax: int) -> CountTable:
     extrema are forced, and the two one-sided splits when exactly one
     extremum is forced (those rows witness infeasibility with zero counts).
     """
-    if not 0 <= kmax <= MAX_SADDLES:
-        raise SpecOutOfBounds(f"kmax must be in 0..{MAX_SADDLES}, got {kmax}")
+    _check_bounds(kmax, "kmax")
     rows = []
     for k in range(kmax + 1):
         tally: dict = {}
@@ -417,8 +419,7 @@ def naive_enumerate_classes(k: int) -> tuple[ClassRecord, ...]:
     """Reference enumeration without symmetry pruning: every candidate is
     constructed explicitly and pushed through build() and the coherence
     check.  Intended for desk-scale cross-checks (k <= 2)."""
-    if not 0 <= k <= MAX_SADDLES:
-        raise SpecOutOfBounds(f"saddle count must be in 0..{MAX_SADDLES}, got {k}")
+    _check_bounds(k)
     if k == 0:
         flow = build(_POLAR_DESCRIPTION)
         return (ClassRecord(flow, canonical_code(flow), 0, 1, 1, True),)

@@ -38,54 +38,44 @@ class CanonicalCode:
         return self.code < other.code
 
 
-def _successor_maps(flow: FlowGraph, mirrored: bool) -> dict:
-    succ = {}
-    for ring in flow.rotation.values():
-        n = len(ring)
-        for i, d in enumerate(ring):
-            succ[d] = ring[(i - 1) % n] if mirrored else ring[(i + 1) % n]
-    return succ
-
-
-def _traversal_code(flow: FlowGraph, start: str, succ: dict) -> tuple[int, ...]:
+def _traversal_code(start: int, succ, pair, labels) -> tuple[int, ...]:
     """Breadth-first dart discovery from start via rotation-successor and
     pairing moves; emits (kind, direction, successor index, partner index)
     per dart in discovery order."""
-    pos = {start: 0}
+    pos = [-1] * len(succ)
+    pos[start] = 0
     order = [start]
-    i = 0
-    while i < len(order):
-        d = order[i]
-        i += 1
-        for nb in (succ[d], flow.pairing[d]):
-            if nb not in pos:
+    for d in order:
+        for nb in (succ[d], pair[d]):
+            if pos[nb] < 0:
                 pos[nb] = len(order)
                 order.append(nb)
     out = []
     for d in order:
-        out.append(_KIND_CODE[flow.kinds[flow.dart_vertex[d]]])
-        out.append(0 if flow.dart_dir[d] == OUT else 1)
+        out += labels[d]
         out.append(pos[succ[d]])
-        out.append(pos[flow.pairing[d]])
+        out.append(pos[pair[d]])
     return tuple(out)
 
 
 def canonical_code(flow: FlowGraph, include_mirror: bool = False) -> CanonicalCode:
     """Least traversal code over all starting darts (and over the mirrored
-    rotation system when include_mirror)."""
+    rotation system, the inverse of succ, when include_mirror)."""
     if flow.special_polar:
         return CanonicalCode(_POLAR_CODE, include_mirror)
-    darts = flow.darts()
-    best = None
-    orientations = [False, True] if include_mirror else [False]
-    for mirrored in orientations:
-        succ = _successor_maps(flow, mirrored)
-        for start in darts:
-            code = _traversal_code(flow, start, succ)
-            if best is None or code < best:
-                best = code
-    assert best is not None and len(best) == 4 * len(darts)
-    return CanonicalCode((len(darts),) + best, include_mirror)
+    n = len(flow.succ)
+    labels = [(_KIND_CODE[flow.kinds[v]], 0 if x == OUT else 1)
+              for v, x in zip(flow.dart_vertex, flow.dart_dir)]
+    rotations = [flow.succ]
+    if include_mirror:
+        pred = [0] * n
+        for d, e in enumerate(flow.succ):
+            pred[e] = d
+        rotations.append(pred)
+    best = min(_traversal_code(start, succ, flow.pair, labels)
+               for succ in rotations for start in range(n))
+    assert len(best) == 4 * n
+    return CanonicalCode((n,) + best, include_mirror)
 
 
 def equivalent(f1: FlowGraph, f2: FlowGraph, include_mirror: bool = False) -> bool:
@@ -95,23 +85,18 @@ def equivalent(f1: FlowGraph, f2: FlowGraph, include_mirror: bool = False) -> bo
 def relabel(flow: FlowGraph, vertex_map: dict, dart_map: dict) -> FlowGraph:
     """Rename vertex and dart ids through total bijections; the structure is
     unchanged, so the result is always equivalent to the input."""
-    _check_bijection(vertex_map, flow.kinds, "vertex")
-    _check_bijection(dart_map, flow.dart_dir, "dart")
-    desc = {
-        "special_polar": flow.special_polar,
-        "vertices": [
-            {"id": vertex_map[v], "kind": k} for v, k in sorted(flow.kinds.items())
-        ],
-        "rotation": {
-            vertex_map[v]: [dart_map[d] for d in ring] for v, ring in flow.rotation.items()
-        },
-        "dart_dir": {dart_map[d]: x for d, x in flow.dart_dir.items()},
-        "pairing": sorted(sorted((dart_map[a], dart_map[b])) for a, b in flow._pairs()),
-    }
+    _check_bijection(vertex_map, flow.vertex_ids, "vertex")
+    _check_bijection(dart_map, flow.dart_ids, "dart")
+    desc = flow.to_description()
+    desc["vertices"] = [{"id": vertex_map[e["id"]], "kind": e["kind"]} for e in desc["vertices"]]
+    desc["rotation"] = {vertex_map[v]: [dart_map[d] for d in ring]
+                        for v, ring in desc["rotation"].items()}
+    desc["dart_dir"] = {dart_map[d]: x for d, x in desc["dart_dir"].items()}
+    desc["pairing"] = sorted(sorted((dart_map[a], dart_map[b])) for a, b in desc["pairing"])
     return build(desc)
 
 
-def _check_bijection(mapping: dict, domain: dict, what: str) -> None:
+def _check_bijection(mapping: dict, domain: tuple, what: str) -> None:
     missing = sorted(set(domain) - set(mapping))
     if missing:
         raise ValueError(f"{what} map misses ids {missing}")

@@ -8,13 +8,18 @@ flow.  Saddles have exactly four darts alternating out/in; source darts all
 point out, sink darts all point in.  Every separatrix has at least one saddle
 end (trajectories joining two extrema are not separatrices and are rejected).
 
+build() interns the ids: vertices and darts are numbered in sorted-id order,
+and the map is held as immutable per-dart tuples (vertex, rotation successor,
+paired dart, direction).  String ids appear only in descriptions, facial
+walks and edge lists.
+
 The unique saddle-free flow (one source, one sink, no separatrices) does not
 induce a cell decomposition, so it is stored as a special token; its Euler
 characteristic is 2 by convention.
 
-Faces are recovered by the standard orbit rule "paired dart, then rotation
-successor"; the Euler characteristic and genus are derived from the face
-count and never taken on trust from the input.
+Faces are traced once, in build(), by the standard orbit rule "paired dart,
+then rotation successor"; the Euler characteristic, genus and face coherence
+are derived from them and never taken on trust from the input.
 """
 from __future__ import annotations
 
@@ -72,57 +77,50 @@ class NonOrientableOrCorrupt(FlowError):
 
 @dataclass(frozen=True)
 class FlowGraph:
-    """Validated immutable flow; construct through build()."""
+    """Validated immutable flow; construct through build().
+
+    Vertices and darts are referred to by number; per-vertex tuples are
+    indexed by vertex number and per-dart tuples by dart number.
+    """
 
     special_polar: bool
-    kinds: dict            # vertex id -> kind
-    rotation: dict         # vertex id -> tuple of dart ids, counterclockwise
-    dart_dir: dict         # dart id -> "out" | "in"
-    pairing: dict          # dart id -> dart id, involution
-    dart_vertex: dict      # dart id -> vertex id, derived
-
-    def vertices(self) -> list[str]:
-        return sorted(self.kinds)
-
-    def darts(self) -> list[str]:
-        return sorted(self.dart_dir)
-
-    def vertices_of_kind(self, kind: str) -> list[str]:
-        return sorted(v for v, k in self.kinds.items() if k == kind)
+    vertex_ids: tuple[str, ...]             # sorted
+    kinds: tuple[str, ...]                  # per vertex
+    rings: tuple[tuple[int, ...], ...]      # per vertex: darts counterclockwise, as listed
+    dart_ids: tuple[str, ...]               # sorted
+    dart_vertex: tuple[int, ...]            # per dart
+    succ: tuple[int, ...]                   # per dart: next dart counterclockwise
+    pair: tuple[int, ...]                   # per dart: other end, an involution
+    dart_dir: tuple[str, ...]               # per dart: "out" | "in"
+    face_walks: tuple[tuple[int, ...], ...] # each from its least dart; sorted
+    chi: int
+    coherent: bool
 
     def counts(self) -> tuple[int, int, int]:
         """(sources, sinks, saddles)"""
-        p = sum(1 for k in self.kinds.values() if k == SOURCE)
-        q = sum(1 for k in self.kinds.values() if k == SINK)
+        p = self.kinds.count(SOURCE)
+        q = self.kinds.count(SINK)
         return p, q, len(self.kinds) - p - q
 
     def num_edges(self) -> int:
-        return len(self.dart_dir) // 2
+        return len(self.pair) // 2
 
     def edges(self) -> list[tuple[str, str]]:
         """Separatrices as (tail vertex, head vertex), one per dart pair."""
-        out = []
-        for d, e in self.pairing.items():
-            if self.dart_dir[d] == OUT:
-                out.append((self.dart_vertex[d], self.dart_vertex[e]))
-        return sorted(out)
-
-    def rotation_next(self, dart: str) -> str:
-        ring = self.rotation[self.dart_vertex[dart]]
-        return ring[(ring.index(dart) + 1) % len(ring)]
+        ids, at = self.vertex_ids, self.dart_vertex
+        return sorted((ids[at[d]], ids[at[e]])
+                      for d, e in enumerate(self.pair) if self.dart_dir[d] == OUT)
 
     def to_description(self) -> dict:
-        desc = {
+        ids = self.dart_ids
+        return {
             "special_polar": self.special_polar,
-            "vertices": [{"id": v, "kind": self.kinds[v]} for v in self.vertices()],
-            "rotation": {v: list(self.rotation[v]) for v in sorted(self.rotation)},
-            "dart_dir": {d: self.dart_dir[d] for d in self.darts()},
-            "pairing": sorted(sorted(pair) for pair in self._pairs()),
+            "vertices": [{"id": v, "kind": k} for v, k in zip(self.vertex_ids, self.kinds)],
+            "rotation": {v: [ids[d] for d in ring]
+                         for v, ring in zip(self.vertex_ids, self.rings) if ring},
+            "dart_dir": dict(zip(ids, self.dart_dir)),
+            "pairing": [[ids[d], ids[e]] for d, e in enumerate(self.pair) if d < e],
         }
-        return desc
-
-    def _pairs(self) -> list[tuple[str, str]]:
-        return [(d, e) for d, e in self.pairing.items() if d < e]
 
 
 def build(description: dict) -> FlowGraph:
@@ -139,7 +137,9 @@ def build(description: dict) -> FlowGraph:
     if unknown:
         raise MalformedFlow(f"unknown keys in flow description: {sorted(unknown)}")
 
-    special = bool(description.get("special_polar", False))
+    special = description.get("special_polar", False)
+    if not isinstance(special, bool):
+        raise MalformedFlow(f'"special_polar" must be true or false, got {special!r}')
     vertices = description.get("vertices")
     if not isinstance(vertices, list):
         raise MalformedFlow('"vertices" must be a list')
@@ -161,13 +161,11 @@ def build(description: dict) -> FlowGraph:
     pairing_in = description.get("pairing", [])
 
     if special:
-        srcs = [v for v, k in kinds.items() if k == SOURCE]
-        snks = [v for v, k in kinds.items() if k == SINK]
-        if len(kinds) != 2 or len(srcs) != 1 or len(snks) != 1:
+        if sorted(kinds.values()) != [SINK, SOURCE]:
             raise BadSpecialPolar("special_polar needs exactly one source and one sink")
         if rotation_in or dart_dir_in or pairing_in:
             raise BadSpecialPolar("special_polar flows carry no darts")
-        flow = FlowGraph(True, kinds, {}, {}, {}, {})
+        flow = _intern(True, kinds, {}, {}, {})
         _check_genus_hint(description, flow)
         return flow
 
@@ -203,8 +201,7 @@ def build(description: dict) -> FlowGraph:
         if kind == SADDLE:
             if len(ring) != 4:
                 raise NonAlternatingSaddle(f"saddle {v} has {len(ring)} darts, needs 4")
-            dirs = [dart_dir[d] for d in ring]
-            if dirs[0] == dirs[1] or dirs[1] == dirs[2] or dirs[2] == dirs[3] or dirs[3] == dirs[0]:
+            if any(dart_dir[ring[i]] == dart_dir[ring[i - 1]] for i in range(4)):
                 raise NonAlternatingSaddle(f"saddle {v}: darts do not alternate out/in")
         else:
             if not ring:
@@ -218,7 +215,8 @@ def build(description: dict) -> FlowGraph:
         raise MalformedFlow('"pairing" must be a list of dart pairs')
     pairing: dict = {}
     for pair in pairing_in:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not all(isinstance(d, str) for d in pair)):
             raise MalformedFlow(f"bad pairing entry {pair!r}")
         a, b = pair
         if a not in dart_dir or b not in dart_dir:
@@ -237,22 +235,52 @@ def build(description: dict) -> FlowGraph:
     if unpaired:
         raise BadPairing(f"unpaired darts: {unpaired}")
 
-    _check_connected(kinds, dart_vertex, pairing)
-
-    flow = FlowGraph(False, kinds, rotation, dart_dir, pairing, dart_vertex)
-    euler_characteristic(flow)  # raises NonOrientableOrCorrupt on bad maps
+    flow = _intern(False, kinds, rotation, dart_dir, pairing)
     _check_genus_hint(description, flow)
     return flow
 
 
-def _check_connected(kinds, dart_vertex, pairing):
-    if not kinds:
+def _intern(special: bool, kinds: dict, rotation: dict, dart_dir: dict,
+            pairing: dict) -> FlowGraph:
+    """Number a validated map in sorted-id order, then check connectivity
+    and trace its faces (raises Disconnected or NonOrientableOrCorrupt)."""
+    # Tuples are made from lists, not generators: CPython grows a tuple made
+    # from a generator in place, so it never reuses the per-size tuple free
+    # list that it is returned to, and that list would only fill.
+    vertex_ids = tuple(sorted(kinds))
+    dart_ids = tuple(sorted(dart_dir))
+    dart_num = {d: i for i, d in enumerate(dart_ids)}
+    rings = tuple([tuple([dart_num[d] for d in rotation.get(v, ())]) for v in vertex_ids])
+    dart_vertex = [0] * len(dart_ids)
+    succ = [0] * len(dart_ids)
+    for v, ring in enumerate(rings):
+        for i, d in enumerate(ring):
+            dart_vertex[d] = v
+            succ[d] = ring[(i + 1) % len(ring)]
+    pair = tuple([dart_num[pairing[d]] for d in dart_ids])
+    directions = tuple([dart_dir[d] for d in dart_ids])
+    if special:
+        walks, chi, coherent = ((), ()), 2, True
+    else:
+        _check_connected(vertex_ids, dart_vertex, pair, next(iter(kinds), None))
+        walks = _face_walks(succ, pair)
+        chi = len(vertex_ids) - len(pair) // 2 + len(walks)
+        if chi % 2 != 0 or chi > 2:
+            raise NonOrientableOrCorrupt(f"derived Euler characteristic {chi}")
+        coherent = all(_sign_changes(walk, directions) == 2 for walk in walks)
+    return FlowGraph(special, vertex_ids, tuple([kinds[v] for v in vertex_ids]), rings,
+                     dart_ids, tuple(dart_vertex), tuple(succ), pair, directions,
+                     walks, chi, coherent)
+
+
+def _check_connected(vertex_ids, dart_vertex, pair, first):
+    """Search from the first vertex the description lists (None if none)."""
+    if first is None:
         raise MalformedFlow("flow has no vertices")
-    start = next(iter(kinds))
-    adjacency: dict = {v: set() for v in kinds}
-    for d, e in pairing.items():
+    start = vertex_ids.index(first)
+    adjacency = [set() for _ in vertex_ids]
+    for d, e in enumerate(pair):
         adjacency[dart_vertex[d]].add(dart_vertex[e])
-        adjacency[dart_vertex[e]].add(dart_vertex[d])
     seen = {start}
     stack = [start]
     while stack:
@@ -260,15 +288,39 @@ def _check_connected(kinds, dart_vertex, pairing):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if len(seen) != len(kinds):
-        missing = sorted(set(kinds) - seen)
-        raise Disconnected(f"vertices unreachable from {start}: {missing}")
+    if len(seen) != len(vertex_ids):
+        missing = [v for i, v in enumerate(vertex_ids) if i not in seen]
+        raise Disconnected(f"vertices unreachable from {first}: {missing}")
+
+
+def _face_walks(succ, pair) -> tuple[tuple[int, ...], ...]:
+    """Orbits of dart -> rotation successor of the paired dart, each starting
+    at its least dart, in increasing order of that dart."""
+    seen = [False] * len(succ)
+    walks = []
+    for start in range(len(succ)):
+        walk = []
+        d = start
+        while not seen[d]:
+            seen[d] = True
+            walk.append(d)
+            d = succ[pair[d]]
+        if walk:
+            walks.append(tuple(walk))
+    return tuple(walks)
+
+
+def _sign_changes(walk, directions) -> int:
+    signs = [directions[d] for d in walk]
+    return sum(1 for i in range(len(signs)) if signs[i] != signs[i - 1])
 
 
 def _check_genus_hint(description, flow):
     hint = description.get("genus_hint")
     if hint is None:
         return
+    if isinstance(hint, bool) or not isinstance(hint, int):
+        raise MalformedFlow(f"genus_hint must be an integer, got {hint!r}")
     derived = genus(flow)
     if hint != derived:
         raise GenusHintMismatch(f"genus_hint {hint} but derived genus is {derived}")
@@ -278,48 +330,27 @@ def faces(flow: FlowGraph) -> list[tuple[str, ...]]:
     """Facial walks of the combinatorial map: orbits of dart -> rotation
     successor of the paired dart.
 
-    Each dart appears in exactly one walk; walks are rotated to start at
-    their least dart and sorted.  The saddle-free flow has no darts and
-    returns two empty walks, the two hemispheres.
+    Each dart appears in exactly one walk; walks start at their least dart
+    and are sorted.  The saddle-free flow has no darts and returns two empty
+    walks, the two hemispheres.
     """
-    if flow.special_polar:
-        return [(), ()]
-    remaining = set(flow.dart_dir)
-    walks = []
-    while remaining:
-        start = min(remaining)
-        walk = []
-        d = start
-        while True:
-            walk.append(d)
-            remaining.discard(d)
-            d = flow.rotation_next(flow.pairing[d])
-            if d == start:
-                break
-        k = walk.index(min(walk))
-        walks.append(tuple(walk[k:] + walk[:k]))
-    walks.sort()
-    return walks
+    ids = flow.dart_ids
+    return [tuple([ids[d] for d in walk]) for walk in flow.face_walks]  # lists: see _intern
 
 
 def euler_characteristic(flow: FlowGraph) -> int:
     """V - E + F from face tracing; 2 by convention for the saddle-free flow."""
-    if flow.special_polar:
-        return 2
-    chi = len(flow.kinds) - flow.num_edges() + len(faces(flow))
-    if chi % 2 != 0 or chi > 2:
-        raise NonOrientableOrCorrupt(f"derived Euler characteristic {chi}")
-    return chi
+    return flow.chi
 
 
 def genus(flow: FlowGraph) -> int:
-    return (2 - euler_characteristic(flow)) // 2
+    return (2 - flow.chi) // 2
 
 
 def poincare_hopf_check(flow: FlowGraph) -> bool:
     """True iff sources + sinks - saddles equals the derived Euler characteristic."""
     p, q, z = flow.counts()
-    return p + q - z == euler_characteristic(flow)
+    return p + q - z == flow.chi
 
 
 def face_coherence_check(flow: FlowGraph) -> bool:
@@ -329,16 +360,10 @@ def face_coherence_check(flow: FlowGraph) -> bool:
     points out and against it otherwise.  A cell of a genuine flow is swept
     from one inflow corner chain to one outflow chain, so the cyclic sign
     sequence of a face must have exactly two maximal runs.  A face bounded by
-    a directed separatrix cycle has constant signs and fails.
+    a directed separatrix cycle has constant signs and fails.  The
+    saddle-free flow is coherent.
     """
-    if flow.special_polar:
-        return True
-    for walk in faces(flow):
-        signs = [flow.dart_dir[d] == OUT for d in walk]
-        changes = sum(1 for i in range(len(signs)) if signs[i] != signs[i - 1])
-        if changes != 2:
-            return False
-    return True
+    return flow.coherent
 
 
 def reverse(flow: FlowGraph) -> FlowGraph:
@@ -347,14 +372,8 @@ def reverse(flow: FlowGraph) -> FlowGraph:
     An involution preserving genus, faces and face coherence.
     """
     swap = {SOURCE: SINK, SINK: SOURCE, SADDLE: SADDLE}
-    flip = {OUT: IN, IN: OUT}
-    desc = {
-        "special_polar": flow.special_polar,
-        "vertices": [{"id": v, "kind": swap[k]} for v, k in sorted(flow.kinds.items())],
-        "rotation": {v: list(reversed(ring)) for v, ring in flow.rotation.items()},
-        "dart_dir": {d: flip[x] for d, x in flow.dart_dir.items()},
-        "pairing": sorted(sorted(p) for p in flow._pairs()),
-    }
-    if flow.special_polar:
-        desc["rotation"], desc["dart_dir"], desc["pairing"] = {}, {}, []
+    desc = flow.to_description()
+    desc["vertices"] = [{"id": e["id"], "kind": swap[e["kind"]]} for e in desc["vertices"]]
+    desc["rotation"] = {v: ring[::-1] for v, ring in desc["rotation"].items()}
+    desc["dart_dir"] = {d: IN if x == OUT else OUT for d, x in desc["dart_dir"].items()}
     return build(desc)

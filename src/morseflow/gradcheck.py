@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .flowgraph import (
-    IN,
-    OUT,
     SADDLE,
     SINK,
     SOURCE,
@@ -94,15 +92,10 @@ class EnergyAssignment:
 
 def saddle_digraph(flow: FlowGraph) -> SaddleDigraph:
     """Directed edge per separatrix whose both ends are saddles."""
-    nodes = tuple(flow.vertices_of_kind(SADDLE))
-    edges = []
-    for d, e in flow.pairing.items():
-        if flow.dart_dir[d] != OUT:
-            continue
-        tail, head = flow.dart_vertex[d], flow.dart_vertex[e]
-        if flow.kinds[tail] == SADDLE and flow.kinds[head] == SADDLE:
-            edges.append((tail, head))
-    return SaddleDigraph(nodes, tuple(sorted(edges)))
+    nodes = tuple(v for v, kind in zip(flow.vertex_ids, flow.kinds) if kind == SADDLE)
+    saddles = set(nodes)
+    edges = tuple((a, b) for a, b in flow.edges() if a in saddles and b in saddles)
+    return SaddleDigraph(nodes, edges)
 
 
 def _shortest_cycle(digraph: SaddleDigraph) -> tuple[str, ...] | None:
@@ -194,7 +187,7 @@ def build_energy(flow: FlowGraph) -> EnergyAssignment:
     ranks = _longest_path_ranks(digraph)
 
     values = {}
-    for v, kind in flow.kinds.items():
+    for v, kind in zip(flow.vertex_ids, flow.kinds):
         if kind == SOURCE:
             values[v] = Fraction(1)
         elif kind == SINK:
@@ -239,11 +232,11 @@ def energy_violations(flow: FlowGraph, energy: EnergyAssignment) -> list[str]:
     """Check every invariant of an energy assignment; empty means valid."""
     problems = []
     values = energy.values
-    if set(values) != set(flow.kinds):
+    if set(values) != set(flow.vertex_ids):
         problems.append("assignment does not cover the vertices exactly")
         return problems
     saddle_sum = Fraction(0)
-    for v, kind in flow.kinds.items():
+    for v, kind in zip(flow.vertex_ids, flow.kinds):
         x = values[v]
         if kind == SOURCE and x != 1:
             problems.append(f"source {v} has value {x}, expected 1")

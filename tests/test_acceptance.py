@@ -153,7 +153,7 @@ def test_criterion_6_canonicalization_invariance(all_classes):
     assert len(sample) == 50
     rng = random.Random(20260101)
     for rec in sample:
-        vids, dids = rec.flow.vertices(), rec.flow.darts()
+        vids, dids = rec.flow.vertex_ids, rec.flow.dart_ids
         for _ in range(100):
             new_v = [f"v{i}" for i in range(len(vids))]
             new_d = [f"d{i}" for i in range(len(dids))]
@@ -193,27 +193,34 @@ def _run_cli(*args):
 
 
 def test_criterion_8_cli_determinism():
-    """Byte-identical CLI output across two consecutive runs, all subcommands."""
+    """Byte-identical CLI output across two consecutive runs, all subcommands,
+    and equal to the stdout and exit codes pinned in cli_golden.json."""
+    golden = json.loads(fixture_path("cli_golden").read_text())
     invocations = []
     for name in FLOW_FIXTURES:
-        path = str(fixture_path(name))
+        path = f"fixtures/{name}.json"
         invocations += [
             ("validate", path), ("check", path), ("check", path, "--report", "json"),
             ("energy", path), ("canon", path), ("canon", path, "--mirror"),
             ("export-dot", path),
         ]
     for name in PROFILE_FIXTURES:
-        invocations.append(("dims", str(fixture_path(name))))
+        invocations.append(("dims", f"fixtures/{name}.json"))
     invocations += [
         ("enum", "--k", "2"), ("enum", "--k", "2", "--format", "json"),
         ("enum", "--k", "1", "--genus", "0", "--gradient-like-only"),
     ]
+    assert sorted(golden) == sorted(" ".join(argv) for argv in invocations)
+    tests_dir = fixture_path("cli_golden").parent.parent
     for argv in invocations:
-        first = _run_cli(*argv)
-        second = _run_cli(*argv)
+        real = [str(tests_dir / a) if a.startswith("fixtures/") else a for a in argv]
+        first = _run_cli(*real)
+        second = _run_cli(*real)
         assert first == second, argv
+        pinned = golden[" ".join(argv)]
+        assert (first[0], first[1]) == (pinned["exit"], pinned["stdout"]), argv
     # spot-check schemas re-parse
     code, out, _ = _run_cli("dims", str(fixture_path("genus0_polar")))
     assert code == 0 and json.loads(out)["classifying_dim"] == 8
     print(f"\nCRITERION 8 PASS: {len(invocations)} CLI invocations byte-identical "
-          "across two runs")
+          "across two runs and equal to the pinned outputs")

@@ -30,6 +30,17 @@ def test_validate_rejects_broken_file(tmp_path):
     assert result.stdout == ""
 
 
+def test_check_rejects_list_in_pairing(tmp_path):
+    desc = json.loads(fixture_path("sphere1").read_text())
+    desc["pairing"][0] = [["z0"], "k1"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(desc))
+    result = run_cli("check", str(bad))
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: bad pairing entry")
+
+
 def test_check_exit_codes():
     assert run_cli("check", str(fixture_path("polar"))).returncode == 0
     assert run_cli("check", str(fixture_path("cyclic"))).returncode == 1

@@ -95,6 +95,10 @@ def test_spec_bounds():
         EnumSpec(saddles=-1)
     with pytest.raises(SpecOutOfBounds):
         count_table(4)
+    with pytest.raises(SpecOutOfBounds):
+        enumerate_classes(4)
+    with pytest.raises(SpecOutOfBounds):
+        naive_enumerate_classes(-1)
 
 
 def test_enumeration_output_is_sorted_and_duplicate_free():

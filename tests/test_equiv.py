@@ -11,8 +11,8 @@ from conftest import FLOW_FIXTURES, load_flow
 
 
 def random_relabeling(flow, rng):
-    vids = flow.vertices()
-    dids = flow.darts()
+    vids = flow.vertex_ids
+    dids = flow.dart_ids
     new_v = [f"v{i}" for i in range(len(vids))]
     new_d = [f"d{i}" for i in range(len(dids))]
     rng.shuffle(new_v)
@@ -53,25 +53,25 @@ def test_inequivalent_fixtures(sphere1, torus):
 
 
 def test_relabel_identity(sphere1):
-    vmap = {v: v for v in sphere1.vertices()}
-    dmap = {d: d for d in sphere1.darts()}
+    vmap = {v: v for v in sphere1.vertex_ids}
+    dmap = {d: d for d in sphere1.dart_ids}
     assert relabel(sphere1, vmap, dmap).to_description() == sphere1.to_description()
 
 
 def test_relabel_swapping_sinks_is_equivalent(sphere1):
-    vmap = {v: v for v in sphere1.vertices()}
+    vmap = {v: v for v in sphere1.vertex_ids}
     vmap["K1"], vmap["K2"] = "K2", "K1"
-    dmap = {d: d for d in sphere1.darts()}
+    dmap = {d: d for d in sphere1.dart_ids}
     assert equivalent(sphere1, relabel(sphere1, vmap, dmap))
 
 
 def test_relabel_rejects_collapse(sphere1):
-    vmap = {v: v for v in sphere1.vertices()}
-    dmap = {d: "same" for d in sphere1.darts()}
+    vmap = {v: v for v in sphere1.vertex_ids}
+    dmap = {d: "same" for d in sphere1.dart_ids}
     with pytest.raises(ValueError):
         relabel(sphere1, vmap, dmap)
     with pytest.raises(ValueError):
-        relabel(sphere1, {}, {d: d for d in sphere1.darts()})
+        relabel(sphere1, {}, {d: d for d in sphere1.dart_ids})
 
 
 def _mirror(flow):

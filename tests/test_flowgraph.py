@@ -139,6 +139,38 @@ def test_genus_hint_checked():
         build(desc)
 
 
+def test_build_rejects_non_string_pairing_end():
+    desc = load_description("sphere1")
+    desc["pairing"][0] = [["z0"], "k1"]
+    with pytest.raises(MalformedFlow):
+        build(desc)
+
+
+def test_build_rejects_non_bool_special_polar():
+    desc = load_description("polar")
+    desc["special_polar"] = "no"
+    with pytest.raises(MalformedFlow):
+        build(desc)
+
+
+def test_build_rejects_bool_genus_hint():
+    desc = load_description("sphere1")
+    desc["genus_hint"] = False
+    with pytest.raises(MalformedFlow):
+        build(desc)
+
+
+def test_flow_holds_only_tuples_and_scalars():
+    def leaves(x):
+        return [y for item in x for y in leaves(item)] if isinstance(x, tuple) else [x]
+
+    for name in FLOW_FIXTURES:
+        flow = load_flow(name)
+        assert hash(flow) == hash(load_flow(name))
+        assert all(type(leaf) in (str, int, bool)
+                   for value in vars(flow).values() for leaf in leaves(value))
+
+
 # ---------------------------------------------------------------------------
 # faces and derived topology
 
@@ -146,7 +178,7 @@ def test_genus_hint_checked():
 def test_faces_sphere1(sphere1):
     walks = faces(sphere1)
     assert len(walks) == 2
-    assert sorted(d for w in walks for d in w) == sphere1.darts()
+    assert tuple(sorted(d for w in walks for d in w)) == sphere1.dart_ids
 
 
 def test_faces_torus(torus):
@@ -166,7 +198,7 @@ def test_faces_partition_darts(name):
     flow = load_flow(name)
     walks = faces(flow)
     seen = [d for w in walks for d in w]
-    assert sorted(seen) == flow.darts()
+    assert tuple(sorted(seen)) == flow.dart_ids
     assert len(set(seen)) == len(seen)
 
 
@@ -181,7 +213,7 @@ def test_edge_count_formula():
         flow = load_flow(name)
         _, _, k = flow.counts()
         extremum_darts = sum(
-            len(flow.rotation.get(v, ())) for v, kind in flow.kinds.items() if kind != "saddle"
+            len(ring) for ring, kind in zip(flow.rings, flow.kinds) if kind != "saddle"
         )
         assert flow.num_edges() == (4 * k + extremum_darts) / 2
 
@@ -203,8 +235,9 @@ def test_face_coherence(sphere1, torus, cycleface, homoclinic):
 def test_cycleface_has_directed_face_boundary(cycleface):
     # the face (z0, w0) is a directed separatrix 2-cycle: constant signs
     walks = faces(cycleface)
+    dart_dir = cycleface.to_description()["dart_dir"]
     bad = [w for w in walks
-           if len({cycleface.dart_dir[d] for d in w}) == 1]
+           if len({dart_dir[d] for d in w}) == 1]
     assert bad == [("w0", "z0")] or bad == [("z0", "w0")]
 
 

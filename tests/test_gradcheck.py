@@ -200,7 +200,7 @@ def test_relabeling_invariance_of_verdict_and_energy(chain2):
     from morseflow import relabel
 
     rng = random.Random(3)
-    vids, dids = chain2.vertices(), chain2.darts()
+    vids, dids = chain2.vertex_ids, chain2.dart_ids
     for _ in range(20):
         new_v = [f"v{i}" for i in range(len(vids))]
         new_d = [f"d{i}" for i in range(len(dids))]
