@@ -2,7 +2,8 @@
 
 Subcommands: validate, check, energy, dims, canon, enum, export-dot.
 Exit codes: 0 success (and verdict true for check), 1 verdict false,
-2 input error (single-line diagnostic on stderr).
+2 input error (single-line diagnostic on stderr), 3 internal error (a fault
+of the program, not of the input; single-line diagnostic on stderr).
 """
 from __future__ import annotations
 
@@ -15,9 +16,17 @@ from . import enumeration, equiv, flowgraph, gradcheck
 from .singularity import FunctionProfile, LabelError
 
 
+class UnreadableInput(ValueError):
+    """An input file that is not UTF-8 JSON within the parser's limits."""
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as err:
+            # bad UTF-8 or syntax, an integer past the digit limit, nesting too deep
+            raise UnreadableInput(str(err)) from None
 
 
 def _dump(obj) -> str:
@@ -171,11 +180,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (flowgraph.FlowError, gradcheck.NotRealizable, LabelError,
-            enumeration.SpecOutOfBounds, dims_mod.InvalidEulerCharacteristic,
-            json.JSONDecodeError, OSError, ValueError) as err:
+    except (UnreadableInput, OSError, flowgraph.FlowError, gradcheck.NotRealizable,
+            LabelError, enumeration.SpecOutOfBounds,
+            dims_mod.InvalidEulerCharacteristic) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a fault of the program, not of its input
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

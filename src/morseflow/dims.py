@@ -64,7 +64,7 @@ def normalized_classifying_dim(profile: FunctionProfile) -> int:
 
     Evaluated both as classifying_dim - extrema - 1 and directly in class
     counts; the two expressions are equal by an arithmetic identity and the
-    equality is asserted.
+    equality is checked (AssertionError otherwise).
     """
     c = profile_counts(profile)
     s = num_marked_points(profile.euler_characteristic)
@@ -77,7 +77,8 @@ def normalized_classifying_dim(profile: FunctionProfile) -> int:
         + 4 * c.multi_saddles
         - 1
     )
-    assert via_restriction == direct, (via_restriction, direct, profile)
+    if via_restriction != direct:
+        raise AssertionError((via_restriction, direct, profile))
     return via_restriction
 
 

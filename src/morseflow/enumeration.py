@@ -156,7 +156,8 @@ def count_table(kmax: int) -> CountTable:
                 rows.append(CountRow(genus, k, p, q, total, grad))
                 covered.add((genus, p, q))
             genus += 1
-        assert covered >= set(tally), f"classes outside the row domain: {set(tally) - covered}"
+        if not covered >= set(tally):
+            raise AssertionError(f"classes outside the row domain: {set(tally) - covered}")
     rows.sort(key=lambda r: (r.k, r.genus, r.sources))
     return CountTable(tuple(rows))
 
@@ -369,8 +370,10 @@ def _generate(k: int):
                 if nfaces is None:
                     continue
                 chi = (k + p + q) - (4 * k - t) + nfaces
-                assert chi % 2 == 0 and chi <= 2, (matching, snk_assign, src_assign)
-                assert p + q - k == chi, "index count violated by a coherent candidate"
+                if chi % 2 != 0 or chi > 2:
+                    raise AssertionError((matching, snk_assign, src_assign))
+                if p + q - k != chi:
+                    raise AssertionError("index count violated by a coherent candidate")
 
                 flow = build(_materialize(k, matching, src_cycles, snk_cycles))
                 code = canonical_code(flow)
@@ -378,7 +381,8 @@ def _generate(k: int):
                     continue
                 seen_codes[code.code] = True
                 # the reduced trace must agree with the module-level checks
-                assert face_coherence_check(flow) and flowgraph.poincare_hopf_check(flow)
+                if not (face_coherence_check(flow) and flowgraph.poincare_hopf_check(flow)):
+                    raise AssertionError
                 records.append(
                     ClassRecord(
                         flow,

@@ -74,7 +74,8 @@ def canonical_code(flow: FlowGraph, include_mirror: bool = False) -> CanonicalCo
         rotations.append(pred)
     best = min(_traversal_code(start, succ, flow.pair, labels)
                for succ in rotations for start in range(n))
-    assert len(best) == 4 * n
+    if len(best) != 4 * n:
+        raise AssertionError
     return CanonicalCode((n,) + best, include_mirror)
 
 

@@ -2,18 +2,26 @@
 
 A flow is gradient-like iff it has a source and a sink, every separatrix has
 two endpoints (structural in this data model), and no directed cycle of
-separatrices runs through saddles only.  When the check passes, an energy
-assignment is built: sources get +1, sinks -1, and saddles get values in
-(-1, 1) summing to zero that strictly decrease along every saddle-to-saddle
-separatrix.  Saddle values come from longest-path ranks in the saddle
-digraph, which makes the assignment canonical for a given flow.
+separatrices runs through saddles only.  Both the check and the energy read
+one integer analysis of the saddle digraph, built once per call from the
+flow's dart arrays (saddles numbered in id order).  Kahn's topological sort
+gives every saddle its longest-path rank unless a cycle blocks it; only then
+is a witness searched for.  The witness is the least directed cycle: the
+shortest, and among those the least node sequence starting at its least
+node, found in polynomial time by breadth-first search.  When the check
+passes, an energy assignment is built: sources get +1, sinks -1, and
+saddles get values in (-1, 1) summing to zero that strictly decrease along
+every saddle-to-saddle separatrix.  Saddle values come from the ranks,
+which makes the assignment canonical for a given flow.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .flowgraph import (
+    OUT,
     SADDLE,
     SINK,
     SOURCE,
@@ -98,134 +106,117 @@ def saddle_digraph(flow: FlowGraph) -> SaddleDigraph:
     return SaddleDigraph(nodes, edges)
 
 
-def _shortest_cycle(digraph: SaddleDigraph) -> tuple[str, ...] | None:
-    """Least directed cycle: shortest, then lexicographically least node
-    sequence among rotations starting at the least node.  Self-loops count
-    as cycles of length 1."""
-    adj = digraph.successors()
-    loops = sorted(v for v in digraph.nodes if v in adj[v])
-    if loops:
-        return (loops[0],)
-
-    best_len = None
-    for start in digraph.nodes:
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w == start:
-                        length = dist[v] + 1
-                        if best_len is None or length < best_len:
-                            best_len = length
-                        continue
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-    if best_len is None:
-        return None
-
-    # enumerate all simple cycles of the minimal length, keep the least
-    # canonical rotation
-    best = None
-
-    def extend(path, seen):
-        nonlocal best
-        v = path[-1]
-        if len(path) == best_len:
-            if path[0] in adj[v]:
-                k = path.index(min(path))
-                candidate = tuple(path[k:] + path[:k])
-                if best is None or candidate < best:
-                    best = candidate
-            return
-        for w in sorted(adj[v]):
-            if w not in seen:
-                extend(path + [w], seen | {w})
-
-    for start in sorted(digraph.nodes):
-        extend([start], {start})
-    return best
-
-
 def check_gradient_like(flow: FlowGraph) -> CheckReport:
     """Decide gradient-likeness; requires a face-coherent flow.
 
     Separatrix endpoints are two by construction here (every stored
     separatrix is a dart pair), so that condition is reported as true.
     """
-    if not face_coherence_check(flow):
-        raise NotRealizable("flow fails face coherence; not a Morse-flow cell structure")
-    p, q, _ = flow.counts()
-    witness = _shortest_cycle(saddle_digraph(flow))
-    return CheckReport(
-        cond_sources_sinks=p >= 1 and q >= 1,
-        cond_separatrix_endpoints=True,
-        cond_no_directed_cycle=witness is None,
-        witness_cycle=witness,
-    )
+    return _analyse(flow)[0]
 
 
 def build_energy(flow: FlowGraph) -> EnergyAssignment:
     """Energy witness for a gradient-like flow.
 
     Saddle values: rank(z) is the longest directed path in the saddle
-    digraph ending at z; raw values -rank are centered to sum zero and
-    scaled by 1/(max|centered| + 1), which keeps them strictly inside
-    (-1, 1) and strictly decreasing along saddle connections.
+    digraph ending at z; with n saddles whose ranks sum to total, z gets
+    (total - n*rank(z)) / (peak + n), peak = max |total - n*rank|.  These
+    are the raw values -rank centered to sum zero and scaled by
+    1/(max|centered| + 1), which keeps them strictly inside (-1, 1) and
+    strictly decreasing along saddle connections.
 
     Raises NotRealizable on incoherent flows and NotGradientLike (carrying
     the CheckReport) on verdict-false flows.
     """
-    report = check_gradient_like(flow)
+    report, saddles, ranks = _analyse(flow)
     if not report.verdict:
         raise NotGradientLike(report)
-
-    digraph = saddle_digraph(flow)
-    ranks = _longest_path_ranks(digraph)
-
-    values = {}
-    for v, kind in zip(flow.vertex_ids, flow.kinds):
-        if kind == SOURCE:
-            values[v] = Fraction(1)
-        elif kind == SINK:
-            values[v] = Fraction(-1)
-    if digraph.nodes:
-        raw = {z: Fraction(-ranks[z]) for z in digraph.nodes}
-        mean = sum(raw.values(), Fraction(0)) / len(raw)
-        centered = {z: x - mean for z, x in raw.items()}
-        peak = max(abs(x) for x in centered.values())
-        for z, x in centered.items():
-            values[z] = x / (peak + 1) if peak else Fraction(0)
+    total, n = sum(ranks), len(ranks)
+    peak = max((abs(total - n * r) for r in ranks), default=0)
+    values = {v: Fraction(1 if kind == SOURCE else -1)
+              for v, kind in zip(flow.vertex_ids, flow.kinds) if kind != SADDLE}
+    for v, r in zip(saddles, ranks):
+        values[flow.vertex_ids[v]] = Fraction(total - n * r, peak + n)
     return EnergyAssignment(values)
 
 
-def _longest_path_ranks(digraph: SaddleDigraph) -> dict:
-    indeg = {v: 0 for v in digraph.nodes}
-    preds = {v: set() for v in digraph.nodes}
-    succs = {v: set() for v in digraph.nodes}
-    for a, b in digraph.edges:
-        if b not in succs[a]:
-            succs[a].add(b)
-            preds[b].add(a)
-            indeg[b] += 1
-    order = sorted(v for v in digraph.nodes if indeg[v] == 0)
-    queue = list(order)
-    topo = []
+def _analyse(flow: FlowGraph) -> tuple[CheckReport, list[int], list[int] | None]:
+    """The check report, the saddles' vertex numbers and, when the saddle
+    digraph is acyclic, the saddles' longest-path ranks."""
+    if not face_coherence_check(flow):
+        raise NotRealizable("flow fails face coherence; not a Morse-flow cell structure")
+    saddles = [v for v, kind in enumerate(flow.kinds) if kind == SADDLE]
+    node = {v: i for i, v in enumerate(saddles)}
+    succs = [[] for _ in saddles]
+    at = flow.dart_vertex
+    for d, e in enumerate(flow.pair):
+        if flow.dart_dir[d] == OUT and at[d] in node and at[e] in node:
+            succs[node[at[d]]].append(node[at[e]])
+    ranks, cycle = _ranks_or_cycle(succs)
+    p, q, _ = flow.counts()
+    report = CheckReport(
+        cond_sources_sinks=p >= 1 and q >= 1,
+        cond_separatrix_endpoints=True,
+        cond_no_directed_cycle=cycle is None,
+        witness_cycle=tuple([flow.vertex_ids[saddles[i]] for i in cycle]) if cycle else None,
+    )
+    return report, saddles, ranks
+
+
+def _ranks_or_cycle(succs: list[list[int]]) -> tuple[list[int] | None, list[int] | None]:
+    """(longest-path ranks, None) for an acyclic digraph on nodes 0..n-1,
+    else (None, least cycle).
+
+    Kahn's pass ranks every node unless a cycle blocks it.  The least cycle
+    is a self-loop at the least node if there is one.  Otherwise, for each
+    node s, BFS over predecessors within the nodes >= s gives the shortest
+    cycle whose least node is s; the least s reaching the global minimum
+    length L starts the cycle, and each step goes to the least successor
+    whose distance back to s equals the steps left.  A closed walk of length
+    L repeats no node (it would split into two shorter cycles), so this is
+    the least node sequence among the shortest cycles.
+    """
+    n = len(succs)
+    preds = [[] for _ in range(n)]
+    for v, ws in enumerate(succs):
+        for w in ws:
+            preds[w].append(v)
+    indeg = [len(us) for us in preds]
+    ranks = [0] * n
+    queue = deque([v for v in range(n) if not indeg[v]])
+    reached = 0
     while queue:
-        v = queue.pop(0)
-        topo.append(v)
-        for w in sorted(succs[v]):
+        v = queue.popleft()
+        reached += 1
+        for w in succs[v]:
+            ranks[w] = max(ranks[w], ranks[v] + 1)
             indeg[w] -= 1
-            if indeg[w] == 0:
+            if not indeg[w]:
                 queue.append(w)
-    assert len(topo) == len(digraph.nodes), "cycle slipped past the verdict check"
-    ranks = {}
-    for v in topo:
-        ranks[v] = max((ranks[u] + 1 for u in preds[v]), default=0)
-    return ranks
+    if reached == n:
+        return ranks, None
+
+    loops = [v for v in range(n) if v in succs[v]]
+    if loops:
+        return None, loops[:1]
+    best = (n + 1,)
+    for s in range(n):
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for u in preds[v]:
+                if u > s and u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        length = min([dist[w] + 1 for w in succs[s] if w in dist], default=n + 1)
+        if length < best[0]:
+            best = length, s, dist
+    length, s, dist = best
+    cycle = [s]
+    for left in range(length - 1, 0, -1):
+        cycle.append(min([w for w in succs[cycle[-1]] if dist.get(w) == left]))
+    return None, cycle
 
 
 def energy_violations(flow: FlowGraph, energy: EnergyAssignment) -> list[str]:

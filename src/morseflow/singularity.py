@@ -20,7 +20,8 @@ class LabelError(ValueError):
 
 
 class MalformedLabel(LabelError):
-    """Text does not match the label grammar at all."""
+    """Text does not match the label grammar at all, or a profile object
+    does not fit its schema."""
 
 
 class SignArityMismatch(LabelError):
@@ -98,7 +99,11 @@ def parse_label(text: str) -> AdeLabel:
     m = _LABEL_RE.match(text)
     if m is None:
         raise MalformedLabel(f"cannot parse label {text!r}")
-    family, mu, sign1, sign2 = m.group(1), int(m.group(2)), m.group(3), m.group(4)
+    family, digits, sign1, sign2 = m.groups()
+    try:
+        mu = int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise MalformedLabel(f"index of label {text!r} is too long") from None
     if family not in ("A", "D", "E"):
         raise InvalidFamilyIndex(f"unknown family {family!r} in {text!r}")
     if sign1 is None:
@@ -174,7 +179,7 @@ class FunctionProfile:
 
     def __post_init__(self):
         if self.genus < 0:
-            raise ValueError(f"genus must be >= 0, got {self.genus}")
+            raise MalformedLabel(f"genus must be >= 0, got {self.genus}")
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
@@ -191,7 +196,13 @@ class FunctionProfile:
         genus = obj["genus"]
         if not isinstance(genus, int) or isinstance(genus, bool):
             raise MalformedLabel(f'"genus" must be an integer, got {genus!r}')
-        return cls(genus, tuple(parse_label(t) for t in obj["labels"]))
+        labels = obj["labels"]
+        if not isinstance(labels, list):
+            raise MalformedLabel(f'"labels" must be a list, got {type(labels).__name__}')
+        for text in labels:
+            if not isinstance(text, str):
+                raise MalformedLabel(f"label {text!r} is not a string")
+        return cls(genus, tuple(parse_label(t) for t in labels))
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "labels": [format_label(l) for l in self.labels]}

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import fixture_path
+from morseflow import cli
 
 def run_cli(*args):
     return subprocess.run(
@@ -90,6 +91,46 @@ def test_dims_rejects_bad_profile(tmp_path):
     bad.write_text('{"genus": 0, "labels": ["E5:+"]}')
     result = run_cli("dims", str(bad))
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"genus": 0, "labels": 5}',
+    '{"genus": 0, "labels": [5]}',
+    '{"genus": 0, "labels": {"A1:+,+": 1, "A1:+,-": 1}}',
+    '{"genus": -1, "labels": ["A1:+,+", "A1:+,-"]}',
+])
+def test_dims_rejects_malformed_profile_values(tmp_path, text):
+    bad = tmp_path / "profile.json"
+    bad.write_text(text)
+    result = run_cli("dims", str(bad))
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{}",                     # not UTF-8
+    b"[" * 100000,                      # nested too deeply for the parser
+    b'{"genus": ' + b"1" * 5000 + b"}",  # integer past the digit limit
+])
+def test_unreadable_json_is_input_error(tmp_path, data):
+    bad = tmp_path / "flow.json"
+    bad.write_bytes(data)
+    result = run_cli("validate", str(bad))
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("not an input problem")
+
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    assert cli.main(["check", str(fixture_path("polar"))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError('not an input problem')\n"
 
 
 def test_canon_output_shape():

@@ -1,22 +1,118 @@
 """Gradient-likeness verdicts, witnesses, and exact energy assignments."""
+import gc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from morseflow import reverse
+from conftest import load_description
+from morseflow import build, reverse
 from morseflow.enumeration import enumerate_classes
 from morseflow.gradcheck import (
     EnergyAssignment,
     InconsistentCounts,
     NotGradientLike,
     NotRealizable,
+    SaddleDigraph,
+    _ranks_or_cycle,
     admits_gradient_like,
     build_energy,
     check_gradient_like,
     energy_violations,
     saddle_digraph,
 )
+
+
+def _enumerated_least_cycle(digraph: SaddleDigraph) -> tuple[str, ...] | None:
+    """Reference oracle for the witness: BFS for the shortest cycle length,
+    then every simple path of that length (exponential in the length)."""
+    adj = digraph.successors()
+    loops = sorted(v for v in digraph.nodes if v in adj[v])
+    if loops:
+        return (loops[0],)
+
+    best_len = None
+    for start in digraph.nodes:
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w == start:
+                        length = dist[v] + 1
+                        if best_len is None or length < best_len:
+                            best_len = length
+                        continue
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+    if best_len is None:
+        return None
+
+    # enumerate all simple cycles of the minimal length, keep the least
+    # canonical rotation
+    best = None
+
+    def extend(path, seen):
+        nonlocal best
+        v = path[-1]
+        if len(path) == best_len:
+            if path[0] in adj[v]:
+                k = path.index(min(path))
+                candidate = tuple(path[k:] + path[:k])
+                if best is None or candidate < best:
+                    best = candidate
+            return
+        for w in sorted(adj[v]):
+            if w not in seen:
+                extend(path + [w], seen | {w})
+
+    for start in sorted(digraph.nodes):
+        extend([start], {start})
+    return best
+
+
+def _grow_saddle_path(desc: dict, dart: str, splits: int) -> dict:
+    """Split the separatrix leaving saddle out-dart `dart`, `splits` times.
+
+    Each split cuts that separatrix at a new saddle X, sends X's other
+    out-dart to a new one-dart sink and feeds X's other in-dart from a new
+    dart at the source whose corner lies on the face that `dart` traverses.
+    The face splits in two, so the genus and face coherence are unchanged,
+    and the saddle path through `dart` gains one saddle.
+    """
+    kinds = {v["id"]: v["kind"] for v in desc["vertices"]}
+    rings = {v: list(ring) for v, ring in desc["rotation"].items()}
+    dart_dir = dict(desc["dart_dir"])
+    partner = {}
+    for a, b in desc["pairing"]:
+        partner[a], partner[b] = b, a
+    owner = {d: v for v, ring in rings.items() for d in ring}
+    for n in range(splits):
+        e = partner[dart]
+        while kinds[owner[e]] != "source":  # face walk: paired dart, then successor
+            ring = rings[owner[e]]
+            e = partner[ring[(ring.index(e) + 1) % len(ring)]]
+        x, k, s = f"x{n}", f"k{n}", f"s{n}"
+        x0, x1, x2, x3, k0 = f"{x}.0", f"{x}.1", f"{x}.2", f"{x}.3", f"{k}.0"
+        kinds[x], kinds[k] = "saddle", "sink"
+        rings[x], rings[k] = [x0, x1, x2, x3], [k0]
+        source_ring = rings[owner[e]]
+        source_ring.insert(source_ring.index(e) + 1, s)
+        for d, vertex, direction in ((x0, x, "out"), (x1, x, "in"), (x2, x, "out"),
+                                     (x3, x, "in"), (k0, k, "in"), (s, owner[e], "out")):
+            owner[d], dart_dir[d] = vertex, direction
+        b = partner[dart]
+        for p, q in ((dart, x1), (x0, b), (x2, k0), (x3, s)):
+            partner[p], partner[q] = q, p
+    return {
+        "vertices": [{"id": v, "kind": kind} for v, kind in kinds.items()],
+        "rotation": rings,
+        "dart_dir": dart_dir,
+        "pairing": [[d, e] for d, e in partner.items() if d < e],
+    }
 
 
 def test_saddle_digraph_sphere1(sphere1):
@@ -60,6 +156,70 @@ def test_witness_is_a_genuine_directed_cycle():
             assert cycle
             for i, node in enumerate(cycle):
                 assert cycle[(i + 1) % len(cycle)] in adj[node]
+
+
+@st.composite
+def _digraphs(draw):
+    """Digraphs on nodes 0..n-1, n <= 8, with self-loops and multi-edges."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=20))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_digraphs())
+def test_least_cycle_matches_enumeration_oracle(graph):
+    n, edges = graph
+    succs = [[] for _ in range(n)]
+    for a, b in edges:
+        succs[a].append(b)
+    ranks, cycle = _ranks_or_cycle(succs)
+    names = [f"s{i}" for i in range(n)]  # sort like the node numbers
+    oracle = _enumerated_least_cycle(
+        SaddleDigraph(tuple(names), tuple((names[a], names[b]) for a, b in edges)))
+    assert (tuple(names[v] for v in cycle) if cycle else None) == oracle
+    assert (ranks is None) == (cycle is not None)
+    if ranks is not None:  # longest-path ranks: 0 at sources, else 1 + max over preds
+        for w in range(n):
+            assert ranks[w] == max((ranks[a] + 1 for a, b in edges if b == w), default=0)
+
+
+def test_ladder_witness_is_a_least_cycle():
+    # two rails a_i, b_i (i mod 16) with edges from both of layer i to both
+    # of layer i + 1: 2^16 cycles, all of length 16
+    m = 16
+    succs = [[(i + 1) % m, m + (i + 1) % m] for i in range(m)] * 2
+    ranks, cycle = _ranks_or_cycle(succs)
+    assert ranks is None
+    assert len(cycle) == m == len(set(cycle))
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
+        assert w in succs[v]
+    assert cycle == list(range(m))
+
+
+def test_witness_on_a_1500_saddle_cycle():
+    # cyclic.json's two-saddle cycle z1 -> z2 -> z1, with z1 -> z2 split
+    # 1,498 times into z1 -> x1497 -> ... -> x0 -> z2
+    flow = build(_grow_saddle_path(load_description("cyclic"), "z1.0", 1498))
+    report = check_gradient_like(flow)
+    assert not report.verdict
+    assert report.witness_cycle == (
+        ("x0", "z2", "z1") + tuple(f"x{n}" for n in range(1497, 0, -1)))
+    edges = set(saddle_digraph(flow).edges)
+    cycle = report.witness_cycle
+    assert all(pair in edges for pair in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def test_analysis_leaves_no_reference_cycles(cyclic, chain2):
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            check_gradient_like(cyclic)
+            build_energy(chain2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_check_polar(polar):

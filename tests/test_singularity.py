@@ -267,3 +267,15 @@ def test_profile_json_round_trip():
     assert FunctionProfile.from_json(p.to_json()) == p
     with pytest.raises(LabelError):
         FunctionProfile.from_json({"genus": "x", "labels": []})
+
+
+@pytest.mark.parametrize("obj", [
+    {"genus": -1, "labels": []},
+    {"genus": 0, "labels": 5},
+    {"genus": 0, "labels": [5]},
+    {"genus": 0, "labels": {"A1:+,+": 1}},
+    {"genus": 0, "labels": ["A" + "1" * 5000 + ":+,-"]},
+])
+def test_profile_json_rejects_malformed_values(obj):
+    with pytest.raises(LabelError):
+        FunctionProfile.from_json(obj)
