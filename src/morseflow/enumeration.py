@@ -5,10 +5,11 @@ candidate encoding: the 4k saddle darts are numbered so that saddle i owns
 darts 4i..4i+3 in rotation order with even darts pointing out, a partial
 matching pairs saddle out-darts to saddle in-darts (the saddle connections),
 and the leftover out/in darts are absorbed by sinks/sources encoded as
-permutations whose cycles are the extrema with their rotation orders.  Face
-tracing, the coherence filter, connectivity and the index count are checked
-directly on that encoding; survivors are materialized into real FlowGraphs
-and deduplicated by canonical code.
+permutations whose cycles are the extrema with their rotation orders.  The
+filters read one array `part` (the partner of a matched dart, the next dart of
+an extremum cycle) in this order: coherence on the reduced face trace, then
+connectivity, then the index count.  Survivors are materialized into real
+FlowGraphs and deduplicated by canonical code.
 
 The candidate space is pruned by the exact symmetry group of the encoding
 (saddle relabelings and half-turns of individual saddles); a naive generator
@@ -196,9 +197,11 @@ def _matchings(k: int):
 
 
 def _perm_variants(dart_set: list, stab: list | None):
-    """Permutations of dart_set with cycle data; when a stabilizer is given,
+    """Permutations of dart_set as (assignment, cycles); with a stabilizer,
     only representatives canonical under it are kept (coverage is preserved
-    because the stabilizer acts jointly on both extremum sides)."""
+    because the stabilizer acts jointly on both extremum sides).  Assignments
+    are written into `part`, then filtered by coherence on the reduced trace,
+    connectivity on the same array, and the index count."""
     darts = sorted(dart_set)
     index = {d: i for i, d in enumerate(darts)}
     inverses = None
@@ -234,29 +237,23 @@ def _perm_variants(dart_set: list, stab: list | None):
                 left.remove(d)
                 d = mapping[d]
             cycles.append(tuple(cyc))
-        merges = tuple(frozenset(d >> 2 for d in cyc) for cyc in cycles)
-        variants.append((tuple(zip(darts, images)), tuple(cycles), len(cycles), merges))
+        variants.append((tuple(zip(darts, images)), tuple(cycles)))
     return variants
 
 
-def _connected(k: int, merge_groups) -> bool:
-    comp = list(range(k))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for group in merge_groups:
-        it = iter(group)
-        try:
-            first = find(next(it))
-        except StopIteration:
-            continue
-        for other in it:
-            comp[find(other)] = first
-    return len({find(i) for i in range(k)}) == 1
+def _connected(k: int, part: list) -> bool:
+    """Whether a walk from saddle 0 reaches every saddle: saddle s reaches the
+    saddle part[d] >> 2 of the partner or next cycle dart of each dart d."""
+    seen = [True] + [False] * (k - 1)
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        for d in range(4 * s, 4 * s + 4):
+            t = part[d] >> 2
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    return all(seen)
 
 
 def _trace_faces(n: int, part: list, is_ext: list):
@@ -352,23 +349,23 @@ def _generate(k: int):
         is_ext = [d not in matched for d in range(n)]
         sink_fed = [d for d in range(n) if is_ext[d] and d % 2 == 0]
         source_fed = [d for d in range(n) if is_ext[d] and d % 2 == 1]
-        match_merges = tuple(frozenset((a >> 2, b >> 2)) for a, b in matching)
 
         snk_variants = _perm_variants(sink_fed, stab)
         src_variants = _perm_variants(source_fed, None)
 
-        for snk_assign, snk_cycles, q, snk_merges in snk_variants:
-            for src_assign, src_cycles, p, src_merges in src_variants:
-                if not _connected(k, match_merges + snk_merges + src_merges):
-                    continue
+        for snk_assign, snk_cycles in snk_variants:
+            for src_assign, src_cycles in src_variants:
                 part = base_part[:]
                 for d, img in snk_assign:
                     part[d] = img
                 for d, img in src_assign:
                     part[d] = img
                 nfaces = _trace_faces(n, part, is_ext)
-                if nfaces is None:
+                # connectivity before the chi checks: disconnected coherent
+                # candidates can have chi 4 or 6
+                if nfaces is None or not _connected(k, part):
                     continue
+                p, q = len(src_cycles), len(snk_cycles)
                 chi = (k + p + q) - (4 * k - t) + nfaces
                 if chi % 2 != 0 or chi > 2:
                     raise AssertionError((matching, snk_assign, src_assign))

@@ -262,7 +262,7 @@ def _intern(special: bool, kinds: dict, rotation: dict, dart_dir: dict,
     if special:
         walks, chi, coherent = ((), ()), 2, True
     else:
-        _check_connected(vertex_ids, dart_vertex, pair, next(iter(kinds), None))
+        _check_connected(vertex_ids, rings, dart_vertex, pair, next(iter(kinds), None))
         walks = _face_walks(succ, pair)
         chi = len(vertex_ids) - len(pair) // 2 + len(walks)
         if chi % 2 != 0 or chi > 2:
@@ -273,18 +273,17 @@ def _intern(special: bool, kinds: dict, rotation: dict, dart_dir: dict,
                      walks, chi, coherent)
 
 
-def _check_connected(vertex_ids, dart_vertex, pair, first):
-    """Search from the first vertex the description lists (None if none)."""
+def _check_connected(vertex_ids, rings, dart_vertex, pair, first):
+    """Walk from the first vertex the description lists (None if none) along
+    each ring dart to the vertex of its paired dart."""
     if first is None:
         raise MalformedFlow("flow has no vertices")
     start = vertex_ids.index(first)
-    adjacency = [set() for _ in vertex_ids]
-    for d, e in enumerate(pair):
-        adjacency[dart_vertex[d]].add(dart_vertex[e])
     seen = {start}
     stack = [start]
     while stack:
-        for w in adjacency[stack.pop()]:
+        for d in rings[stack.pop()]:
+            w = dart_vertex[pair[d]]
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

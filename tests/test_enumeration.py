@@ -4,22 +4,30 @@ The pinned counts were produced by the first run of the symmetry-reduced
 generator and cross-checked, class by class via canonical codes, against the
 naive generator for k <= 2; they are regression values of this tool.
 """
+import math
 from itertools import permutations
 
 import pytest
 
-from morseflow import canonical_code, equivalent
+from morseflow import canonical_code, enumeration, equivalent
 from morseflow.enumeration import (
     CountRow,
     EnumSpec,
     SpecOutOfBounds,
+    _apply_to_matching,
+    _connected,
     _cyclic_set_partitions,
+    _matchings,
+    _perm_variants,
+    _symmetries,
+    _trace_faces,
     count_table,
     enumerate_classes,
     enumerate_flows,
     naive_enumerate_classes,
 )
-from morseflow.flowgraph import genus, poincare_hopf_check
+from morseflow.equiv import _KIND_CODE, _traversal_code
+from morseflow.flowgraph import OUT, genus, poincare_hopf_check
 
 # {(genus, sources, sinks): (classes, gradient_like)}
 PINNED = {
@@ -52,6 +60,98 @@ def test_pinned_regression_counts(k):
     records = enumerate_classes(k)
     assert len(records) == PINNED_TOTALS[k]
     assert tally(records) == PINNED[k]
+
+
+def _aut_order(flow) -> int:
+    """|Aut| of a connected flow: the start darts whose traversal code is least."""
+    labels = [(_KIND_CODE[flow.kinds[v]], 0 if x == OUT else 1)
+              for v, x in zip(flow.dart_vertex, flow.dart_dir)]
+    codes = [_traversal_code(d, flow.succ, flow.pair, labels) for d in range(len(flow.succ))]
+    return codes.count(min(codes))
+
+
+@pytest.mark.parametrize("k, matchings, candidates", [(1, 7, 2), (2, 209, 100), (3, 13327, 11344)])
+def test_orbit_counting_identities(k, matchings, candidates):
+    """Mass-formula check of the pruned generator (Walsh & Lehman 1972).
+
+    G, the saddle relabelings and half-turns, acts on the unpruned encoding.
+    (a) The canonical matchings, weighted by orbit size |G|/|Stab M|, count
+    every matching.  (a') For each canonical M, the sink permutations kept by
+    _perm_variants, weighted by |Stab M|/|C(sigma)|, count every permutation.
+    (b) The classes, weighted by |G|/|Aut c|, count the coherent connected
+    candidates of the unpruned encoding, obtained from the kept (M, sigma)
+    weighted by |G|/|C(sigma)|.  (a) and (a') catch a wrong orbit test or a
+    lost representative; (b) catches a code collision or a missed duplicate.
+    The face and connectivity filters are shared with the generator; they are
+    covered by the naive cross-check at k <= 2.
+    """
+    group = _symmetries(k)
+    assert len(group) == math.factorial(k) * 2 ** k
+    n = 4 * k
+    assert sum(math.comb(2 * k, t) * math.perm(2 * k, t) for t in range(2 * k + 1)) == matchings
+    matching_mass = 0
+    candidate_mass = 0
+    for matching in _matchings(k):
+        if any(_apply_to_matching(g, matching) < matching for g in group):
+            continue
+        stab = [g for g in group if _apply_to_matching(g, matching) == matching]
+        matching_mass += len(group) // len(stab)
+        part = [0] * n
+        for a, b in matching:
+            part[a], part[b] = b, a
+        is_ext = [all(d not in pair for pair in matching) for d in range(n)]
+        sink_fed = [d for d in range(n) if is_ext[d] and d % 2 == 0]
+        source_fed = [d for d in range(n) if is_ext[d] and d % 2 == 1]
+        sigma_mass = 0
+        for snk_assign, _ in _perm_variants(sink_fed, stab):
+            sigma = dict(snk_assign)
+            centralizer = sum(1 for g in stab if all(g[sigma[d]] == sigma[g[d]] for d in sink_fed))
+            assert len(stab) % centralizer == 0
+            sigma_mass += len(stab) // centralizer
+            for d, img in snk_assign:
+                part[d] = img
+            kept = 0
+            for src_assign, _ in _perm_variants(source_fed, None):
+                for d, img in src_assign:
+                    part[d] = img
+                if _trace_faces(n, part, is_ext) is not None and _connected(k, part):
+                    kept += 1
+            candidate_mass += len(group) // centralizer * kept
+        assert sigma_mass == math.factorial(len(sink_fed))
+    assert matching_mass == matchings
+    class_mass = 0
+    for rec in enumerate_classes(k):
+        aut = _aut_order(rec.flow)
+        assert len(group) % aut == 0
+        class_mass += len(group) // aut
+    assert class_mass == candidate_mass == candidates
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_one_build_per_class(k, monkeypatch):
+    monkeypatch.setattr(enumeration, "_CLASS_CACHE", {})
+    calls = []
+    real_build = enumeration.build
+
+    def counting_build(description):
+        calls.append(1)
+        return real_build(description)
+
+    monkeypatch.setattr(enumeration, "build", counting_build)
+    records = enumerate_classes(k)
+    assert len(calls) == len(records) == PINNED_TOTALS[k]
+
+
+@pytest.mark.parametrize("k, part, expected", [
+    # two saddles, each closed on itself by connections and one-dart extrema
+    (2, [1, 0, 3, 2, 5, 4, 7, 6], False),
+    (2, [1, 0, 2, 3, 5, 4, 6, 7], False),
+    # saddles joined only through the extremum cycle (2 6) or (2 6 10)
+    (2, [1, 0, 6, 3, 5, 4, 2, 7], True),
+    (3, [1, 0, 6, 3, 5, 4, 10, 7, 9, 8, 2, 11], True),
+])
+def test_connected_walks_connections_and_extremum_cycles(k, part, expected):
+    assert _connected(k, part) is expected
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -2,8 +2,10 @@
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morseflow import flowgraph
+from morseflow.equiv import canonical_code
 from morseflow.flowgraph import (
     BadDartDirection,
     BadPairing,
@@ -107,8 +109,9 @@ def test_build_rejects_disconnected():
         "dart_dir": dict(a["dart_dir"]) | {d + "'": x for d, x in b["dart_dir"].items()},
         "pairing": a["pairing"] + [[x + "'", y + "'"] for x, y in b["pairing"]],
     }
-    with pytest.raises(Disconnected):
+    with pytest.raises(Disconnected) as err:
         build(merged)
+    assert str(err.value) == """vertices unreachable from S: ["K1'", "K2'", "S'", "Z'"]"""
 
 
 def test_build_rejects_bad_special_polar():
@@ -169,6 +172,54 @@ def test_flow_holds_only_tuples_and_scalars():
         assert hash(flow) == hash(load_flow(name))
         assert all(type(leaf) in (str, int, bool)
                    for value in vars(flow).values() for leaf in leaves(value))
+
+
+def _containers(node, path=()):
+    """Paths to every dict and list inside a description."""
+    if isinstance(node, (dict, list)):
+        yield path
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _containers(child, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_build_fuzzed_fixtures_raise_only_flow_error(data):
+    """Replace, drop or duplicate keys and list entries of a fixture; build()
+    either rejects the result with a FlowError or returns a flow that
+    round-trips through its description and whose double reverse keeps its
+    code."""
+    desc = load_description(data.draw(st.sampled_from(FLOW_FIXTURES)))
+    ids = sorted({e["id"] for e in desc["vertices"]} | set(desc.get("dart_dir", {})))
+    # ids half of the time, so that some mutated descriptions still build
+    values = st.one_of(
+        st.sampled_from(ids + ["zz", "out", "in", "source", "sink", "saddle"]),
+        st.one_of(st.none(), st.booleans(), st.integers(-1, 4), st.just(0.5),
+                  st.builds(list), st.builds(dict)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = desc
+        for key in data.draw(st.sampled_from(list(_containers(desc)))):
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = data.draw(st.sampled_from(["replace", "drop", "duplicate"])) if keys else "add"
+        key = data.draw(st.sampled_from(keys)) if keys else None
+        if op == "replace":
+            node[key] = data.draw(values)
+        elif op == "drop":
+            del node[key]
+        elif isinstance(node, dict):
+            new = data.draw(st.sampled_from(ids + ["zz"]))
+            node[new] = copy.deepcopy(node[key]) if op == "duplicate" else data.draw(values)
+        else:
+            node.append(copy.deepcopy(node[key]) if op == "duplicate" else data.draw(values))
+    try:
+        flow = build(desc)
+    except flowgraph.FlowError:
+        return
+    again = build(flow.to_description())
+    assert again.to_description() == flow.to_description()
+    assert canonical_code(again) == canonical_code(flow)
+    assert canonical_code(reverse(reverse(flow))) == canonical_code(flow)
 
 
 # ---------------------------------------------------------------------------
