@@ -12,9 +12,13 @@ connectivity, then the index count.  Survivors are materialized into real
 FlowGraphs and deduplicated by canonical code.
 
 The candidate space is pruned by the exact symmetry group of the encoding
-(saddle relabelings and half-turns of individual saddles); a naive generator
-without any pruning, driven through the public build/validation pipeline,
-cross-checks the class sets at desk scale.
+(saddle relabelings and half-turns of individual saddles).  The orbit test
+keeps a matching only if no symmetry maps it to a smaller one: pairs are
+coded as integers in pair order, each symmetry is a table of pair images, and
+one walk over the group per matching either stops at the first smaller image
+or collects the stabilizer, which then prunes the sink permutations.  A naive
+generator without any pruning, driven through the public build/validation
+pipeline, cross-checks the class sets at desk scale.
 """
 from __future__ import annotations
 
@@ -182,10 +186,6 @@ def _symmetries(k: int) -> list[tuple[int, ...]]:
     return group
 
 
-def _apply_to_matching(g: tuple, matching: tuple) -> tuple:
-    return tuple(sorted((g[a], g[b]) for a, b in matching))
-
-
 def _matchings(k: int):
     """All partial injective pairings of saddle out-darts to saddle in-darts."""
     outs = [d for d in range(4 * k) if d % 2 == 0]
@@ -194,6 +194,31 @@ def _matchings(k: int):
         for osub in combinations(outs, t):
             for iimg in permutations(ins, t):
                 yield tuple(sorted(zip(osub, iimg)))
+
+
+def _canonical_matchings(k: int):
+    """The matchings that are least in their orbit under the encoding group,
+    each as (matching, stab) with its stabilizer in group order.
+
+    A pair (a, b) is coded a * 4k + b, which keeps the order of pairs, so a
+    matching is its ascending list of codes and each symmetry is one table of
+    the (4k)^2 pair images.  The group is walked once per matching: the
+    first image smaller than the matching rejects it, and images equal to it
+    collect the stabilizer."""
+    n = 4 * k
+    group = _symmetries(k)
+    tables = [[g[a] * n + g[b] for a in range(n) for b in range(n)] for g in group]
+    for matching in _matchings(k):
+        codes = [a * n + b for a, b in matching]  # ascending: matchings are sorted
+        stab = []
+        for g, table in zip(group, tables):
+            image = sorted(map(table.__getitem__, codes))
+            if image < codes:
+                break
+            if image == codes:
+                stab.append(g)
+        else:
+            yield matching, stab
 
 
 def _perm_variants(dart_set: list, stab: list | None):
@@ -330,14 +355,10 @@ def _generate(k: int):
         return
 
     n = 4 * k
-    group = _symmetries(k)
     seen_codes: dict = {}
     records = []
 
-    for matching in _matchings(k):
-        if any(_apply_to_matching(g, matching) < matching for g in group):
-            continue
-        stab = [g for g in group if _apply_to_matching(g, matching) == matching]
+    for matching, stab in _canonical_matchings(k):
         t = len(matching)
         matched = set()
         base_part = [0] * n

@@ -19,7 +19,16 @@ characteristic is 2 by convention.
 
 Faces are traced once, in build(), by the standard orbit rule "paired dart,
 then rotation successor"; the Euler characteristic, genus and face coherence
-are derived from them and never taken on trust from the input.
+are derived from them and never taken on trust from the input.  Coherence is
+counted during that trace, so each dart is visited once per flow.  build()
+validates each dart in one pass and builds the sets that name offending ids
+only to write an error message.
+
+reverse() computes the time-reversed flow on these arrays: the ids, dart
+vertices, pairing and Euler characteristic are kept, kinds and directions
+swap, rings reverse and the rotation successor is inverted, and the faces are
+traced again.  A reversed valid flow is valid by construction, so it is not
+validated again.
 """
 from __future__ import annotations
 
@@ -172,27 +181,30 @@ def build(description: dict) -> FlowGraph:
     if not isinstance(rotation_in, dict) or not isinstance(dart_dir_in, dict):
         raise MalformedFlow('"rotation" and "dart_dir" must be objects')
 
-    dart_dir: dict = {}
     for d, direction in dart_dir_in.items():
         if not isinstance(d, str) or direction not in (OUT, IN):
             raise MalformedFlow(f"bad dart_dir entry {d!r}: {direction!r}")
-        dart_dir[d] = direction
+    dart_dir = dart_dir_in
 
+    # One pass per ring; a failing dart re-reads the ring only to name the
+    # first error in the order of the checks: dart types, then each dart.
     rotation: dict = {}
     dart_vertex: dict = {}
     for v, ring in rotation_in.items():
         if v not in kinds:
             raise MalformedFlow(f"rotation lists unknown vertex {v}")
-        if not isinstance(ring, list) or not all(isinstance(d, str) for d in ring):
+        if not isinstance(ring, list):
             raise MalformedFlow(f"rotation of {v} must be a list of dart ids")
         for d in ring:
-            if d not in dart_dir:
-                raise MalformedFlow(f"vertex {v}: dart {d} missing from dart_dir")
-            if d in dart_vertex:
+            if not isinstance(d, str) or d not in dart_dir or d in dart_vertex:
+                if not all(isinstance(x, str) for x in ring):
+                    raise MalformedFlow(f"rotation of {v} must be a list of dart ids")
+                if d not in dart_dir:
+                    raise MalformedFlow(f"vertex {v}: dart {d} missing from dart_dir")
                 raise MalformedFlow(f"dart {d} appears at two vertices")
             dart_vertex[d] = v
-        rotation[v] = tuple(ring)
-    if set(dart_vertex) != set(dart_dir):
+        rotation[v] = ring
+    if len(dart_vertex) != len(dart_dir):  # dart_vertex is a subset of dart_dir
         loose = sorted(set(dart_dir) - set(dart_vertex))
         raise MalformedFlow(f"darts not attached to any vertex: {loose}")
 
@@ -201,7 +213,9 @@ def build(description: dict) -> FlowGraph:
         if kind == SADDLE:
             if len(ring) != 4:
                 raise NonAlternatingSaddle(f"saddle {v} has {len(ring)} darts, needs 4")
-            if any(dart_dir[ring[i]] == dart_dir[ring[i - 1]] for i in range(4)):
+            first = dart_dir[ring[0]]  # alternating: first, other, first, other
+            if (dart_dir[ring[1]] == first or dart_dir[ring[2]] != first
+                    or dart_dir[ring[3]] == first):
                 raise NonAlternatingSaddle(f"saddle {v}: darts do not alternate out/in")
         else:
             if not ring:
@@ -215,10 +229,11 @@ def build(description: dict) -> FlowGraph:
         raise MalformedFlow('"pairing" must be a list of dart pairs')
     pairing: dict = {}
     for pair in pairing_in:
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(d, str) for d in pair)):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise MalformedFlow(f"bad pairing entry {pair!r}")
         a, b = pair
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise MalformedFlow(f"bad pairing entry {pair!r}")
         if a not in dart_dir or b not in dart_dir:
             raise BadPairing(f"pairing references unknown dart in {pair!r}")
         if a == b:
@@ -231,9 +246,8 @@ def build(description: dict) -> FlowGraph:
             raise BadPairing(f"pair ({a}, {b}) joins two extrema; separatrices end at saddles")
         pairing[a] = b
         pairing[b] = a
-    unpaired = sorted(set(dart_dir) - set(pairing))
-    if unpaired:
-        raise BadPairing(f"unpaired darts: {unpaired}")
+    if len(pairing) != len(dart_dir):  # pairing's keys are a subset of dart_dir
+        raise BadPairing(f"unpaired darts: {sorted(set(dart_dir) - set(pairing))}")
 
     flow = _intern(False, kinds, rotation, dart_dir, pairing)
     _check_genus_hint(description, flow)
@@ -249,26 +263,29 @@ def _intern(special: bool, kinds: dict, rotation: dict, dart_dir: dict,
     # list that it is returned to, and that list would only fill.
     vertex_ids = tuple(sorted(kinds))
     dart_ids = tuple(sorted(dart_dir))
-    dart_num = {d: i for i, d in enumerate(dart_ids)}
-    rings = tuple([tuple([dart_num[d] for d in rotation.get(v, ())]) for v in vertex_ids])
+    dart_num = dict(zip(dart_ids, range(len(dart_ids))))
     dart_vertex = [0] * len(dart_ids)
     succ = [0] * len(dart_ids)
-    for v, ring in enumerate(rings):
-        for i, d in enumerate(ring):
+    rings = []
+    for v, vid in enumerate(vertex_ids):
+        ring = [dart_num[d] for d in rotation.get(vid, ())]
+        prev = ring[-1] if ring else 0
+        for d in ring:
             dart_vertex[d] = v
-            succ[d] = ring[(i + 1) % len(ring)]
+            succ[prev] = d
+            prev = d
+        rings.append(tuple(ring))
     pair = tuple([dart_num[pairing[d]] for d in dart_ids])
     directions = tuple([dart_dir[d] for d in dart_ids])
     if special:
         walks, chi, coherent = ((), ()), 2, True
     else:
         _check_connected(vertex_ids, rings, dart_vertex, pair, next(iter(kinds), None))
-        walks = _face_walks(succ, pair)
+        walks, coherent = _face_walks(succ, pair, directions)
         chi = len(vertex_ids) - len(pair) // 2 + len(walks)
         if chi % 2 != 0 or chi > 2:
             raise NonOrientableOrCorrupt(f"derived Euler characteristic {chi}")
-        coherent = all(_sign_changes(walk, directions) == 2 for walk in walks)
-    return FlowGraph(special, vertex_ids, tuple([kinds[v] for v in vertex_ids]), rings,
+    return FlowGraph(special, vertex_ids, tuple([kinds[v] for v in vertex_ids]), tuple(rings),
                      dart_ids, tuple(dart_vertex), tuple(succ), pair, directions,
                      walks, chi, coherent)
 
@@ -279,39 +296,46 @@ def _check_connected(vertex_ids, rings, dart_vertex, pair, first):
     if first is None:
         raise MalformedFlow("flow has no vertices")
     start = vertex_ids.index(first)
-    seen = {start}
+    seen = [False] * len(vertex_ids)
+    seen[start] = True
     stack = [start]
     while stack:
         for d in rings[stack.pop()]:
             w = dart_vertex[pair[d]]
-            if w not in seen:
-                seen.add(w)
+            if not seen[w]:
+                seen[w] = True
                 stack.append(w)
-    if len(seen) != len(vertex_ids):
-        missing = [v for i, v in enumerate(vertex_ids) if i not in seen]
+    if not all(seen):
+        missing = [v for v, hit in zip(vertex_ids, seen) if not hit]
         raise Disconnected(f"vertices unreachable from {first}: {missing}")
 
 
-def _face_walks(succ, pair) -> tuple[tuple[int, ...], ...]:
+def _face_walks(succ, pair, directions) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """Orbits of dart -> rotation successor of the paired dart, each starting
-    at its least dart, in increasing order of that dart."""
+    at its least dart, in increasing order of that dart; and whether every
+    orbit's cyclic sequence of directions changes exactly twice, counted
+    during the trace."""
     seen = [False] * len(succ)
     walks = []
+    coherent = True
     for start in range(len(succ)):
+        if seen[start]:
+            continue
         walk = []
+        first = prev = directions[start]
+        changes = 0
         d = start
         while not seen[d]:
             seen[d] = True
             walk.append(d)
+            if directions[d] != prev:
+                prev = directions[d]
+                changes += 1
             d = succ[pair[d]]
-        if walk:
-            walks.append(tuple(walk))
-    return tuple(walks)
-
-
-def _sign_changes(walk, directions) -> int:
-    signs = [directions[d] for d in walk]
-    return sum(1 for i in range(len(signs)) if signs[i] != signs[i - 1])
+        if changes + (prev != first) != 2:
+            coherent = False
+        walks.append(tuple(walk))
+    return tuple(walks), coherent
 
 
 def _check_genus_hint(description, flow):
@@ -368,11 +392,22 @@ def face_coherence_check(flow: FlowGraph) -> bool:
 def reverse(flow: FlowGraph) -> FlowGraph:
     """Time reversal: sources and sinks swap, darts flip, rotations reverse.
 
-    An involution preserving genus, faces and face coherence.
+    An involution preserving genus, faces and face coherence.  It is computed
+    on the arrays of a flow that is valid by construction, so nothing is
+    validated again: the ids, dart vertices, pairing and Euler characteristic
+    are kept, each ring is reversed and the rotation successor inverted, and
+    only the faces and their coherence are traced again.
     """
     swap = {SOURCE: SINK, SINK: SOURCE, SADDLE: SADDLE}
-    desc = flow.to_description()
-    desc["vertices"] = [{"id": e["id"], "kind": swap[e["kind"]]} for e in desc["vertices"]]
-    desc["rotation"] = {v: ring[::-1] for v, ring in desc["rotation"].items()}
-    desc["dart_dir"] = {d: IN if x == OUT else OUT for d, x in desc["dart_dir"].items()}
-    return build(desc)
+    directions = tuple([IN if x == OUT else OUT for x in flow.dart_dir])
+    succ = [0] * len(flow.succ)
+    for d, e in enumerate(flow.succ):
+        succ[e] = d
+    if flow.special_polar:
+        walks, coherent = flow.face_walks, flow.coherent
+    else:
+        walks, coherent = _face_walks(succ, flow.pair, directions)
+    return FlowGraph(flow.special_polar, flow.vertex_ids, tuple([swap[k] for k in flow.kinds]),
+                     tuple([ring[::-1] for ring in flow.rings]), flow.dart_ids,
+                     flow.dart_vertex, tuple(succ), flow.pair, directions, walks,
+                     flow.chi, coherent)

@@ -14,7 +14,7 @@ from morseflow.enumeration import (
     CountRow,
     EnumSpec,
     SpecOutOfBounds,
-    _apply_to_matching,
+    _canonical_matchings,
     _connected,
     _cyclic_set_partitions,
     _matchings,
@@ -70,6 +70,24 @@ def _aut_order(flow) -> int:
     return codes.count(min(codes))
 
 
+def _apply_to_matching(g: tuple, matching: tuple) -> tuple:
+    return tuple(sorted((g[a], g[b]) for a, b in matching))
+
+
+def _oracle_canonical_matchings(k):
+    """(matching, stab) for the matchings least in their orbit: every image
+    of every matching, compared as sorted pairs."""
+    group = _symmetries(k)
+    return [(matching, [g for g in group if _apply_to_matching(g, matching) == matching])
+            for matching in _matchings(k)
+            if not any(_apply_to_matching(g, matching) < matching for g in group)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_matchings_match_the_oracle(k):
+    assert list(_canonical_matchings(k)) == _oracle_canonical_matchings(k)
+
+
 @pytest.mark.parametrize("k, matchings, candidates", [(1, 7, 2), (2, 209, 100), (3, 13327, 11344)])
 def test_orbit_counting_identities(k, matchings, candidates):
     """Mass-formula check of the pruned generator (Walsh & Lehman 1972).
@@ -91,10 +109,7 @@ def test_orbit_counting_identities(k, matchings, candidates):
     assert sum(math.comb(2 * k, t) * math.perm(2 * k, t) for t in range(2 * k + 1)) == matchings
     matching_mass = 0
     candidate_mass = 0
-    for matching in _matchings(k):
-        if any(_apply_to_matching(g, matching) < matching for g in group):
-            continue
-        stab = [g for g in group if _apply_to_matching(g, matching) == matching]
+    for matching, stab in _oracle_canonical_matchings(k):
         matching_mass += len(group) // len(stab)
         part = [0] * n
         for a, b in matching:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morseflow import flowgraph
+from morseflow.enumeration import enumerate_classes
 from morseflow.equiv import canonical_code
 from morseflow.flowgraph import (
     BadDartDirection,
@@ -25,6 +26,18 @@ from morseflow.flowgraph import (
 )
 
 from conftest import FLOW_FIXTURES, load_description, load_flow
+from test_gradcheck import _grow_saddle_path
+
+
+def _reverse_by_description(flow):
+    """Time reversal through the description and build(): the oracle for
+    reverse(), which works on the arrays."""
+    swap = {"source": "sink", "sink": "source", "saddle": "saddle"}
+    desc = flow.to_description()
+    desc["vertices"] = [{"id": e["id"], "kind": swap[e["kind"]]} for e in desc["vertices"]]
+    desc["rotation"] = {v: ring[::-1] for v, ring in desc["rotation"].items()}
+    desc["dart_dir"] = {d: "in" if x == "out" else "out" for d, x in desc["dart_dir"].items()}
+    return build(desc)
 
 
 def test_build_polar(polar):
@@ -170,8 +183,10 @@ def test_flow_holds_only_tuples_and_scalars():
     for name in FLOW_FIXTURES:
         flow = load_flow(name)
         assert hash(flow) == hash(load_flow(name))
+        rev = reverse(flow)
+        assert hash(rev) == hash(reverse(load_flow(name)))
         assert all(type(leaf) in (str, int, bool)
-                   for value in vars(flow).values() for leaf in leaves(value))
+                   for f in (flow, rev) for value in vars(f).values() for leaf in leaves(value))
 
 
 def _containers(node, path=()):
@@ -216,6 +231,7 @@ def test_build_fuzzed_fixtures_raise_only_flow_error(data):
         flow = build(desc)
     except flowgraph.FlowError:
         return
+    assert reverse(flow) == _reverse_by_description(flow)
     again = build(flow.to_description())
     assert again.to_description() == flow.to_description()
     assert canonical_code(again) == canonical_code(flow)
@@ -305,6 +321,20 @@ def test_reverse_sphere1(sphere1):
     rev = reverse(sphere1)
     assert rev.counts() == (2, 1, 1)
     assert genus(rev) == 0
+
+
+def test_reverse_matches_description_round_trip():
+    flows = [load_flow(name) for name in FLOW_FIXTURES]
+    flows += [rec.flow for k in range(4) for rec in enumerate_classes(k)]
+    for flow in flows:
+        assert reverse(flow) == _reverse_by_description(flow)
+
+
+def test_reverse_matches_description_round_trip_on_1500_saddles():
+    flow = build(_grow_saddle_path(load_description("cyclic"), "z1.0", 1498))
+    rev = reverse(flow)
+    assert rev == _reverse_by_description(flow)
+    assert reverse(rev) == flow
 
 
 def test_reverse_is_involution():
