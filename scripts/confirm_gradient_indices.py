@@ -11,7 +11,7 @@ import sys
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parent.parent / "tests"))
 
 from morseflow.singularity import classify, format_label, gradient_index
-from test_singularity import all_valid_labels, normal_form, winding_number
+from winding_oracle import all_valid_labels, normal_form, winding_number
 
 
 def main():

@@ -101,15 +101,11 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    table = enumeration.count_table(args.k)
-    rows = table.rows
+    rows = enumeration.count_table(args.k).rows
     if args.genus is not None:
         rows = tuple(r for r in rows if r.genus == args.genus)
     if args.gradient_like_only:
-        rows = tuple(
-            enumeration.CountRow(r.genus, r.k, r.sources, r.sinks, r.gradient_like, r.gradient_like)
-            for r in rows
-        )
+        rows = tuple(r._replace(classes=r.gradient_like) for r in rows)
     table = enumeration.CountTable(rows)
     if args.format == "json":
         print(_dump(table.to_json()))

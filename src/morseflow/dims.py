@@ -11,8 +11,8 @@ homotopy type of fibres/strata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .singularity import FunctionProfile, check_profile_consistency, profile_counts
 
@@ -60,26 +60,9 @@ def classifying_dim(profile: FunctionProfile) -> int:
 
 
 def normalized_classifying_dim(profile: FunctionProfile) -> int:
-    """Dimension of the normalized-value submanifold.
-
-    Evaluated both as classifying_dim - extrema - 1 and directly in class
-    counts; the two expressions are equal by an arithmetic identity and the
-    equality is checked (AssertionError otherwise).
-    """
-    c = profile_counts(profile)
-    s = num_marked_points(profile.euler_characteristic)
-    via_restriction = classifying_dim(profile) - c.extrema - 1
-    direct = (
-        2 * s
-        + c.degenerate_extrema
-        + 2 * c.quasi_saddles
-        + 3 * c.saddles
-        + 4 * c.multi_saddles
-        - 1
-    )
-    if via_restriction != direct:
-        raise AssertionError((via_restriction, direct, profile))
-    return via_restriction
+    """Dimension of the normalized-value submanifold: classifying_dim minus
+    one per extremum (pinned to +-1) and one for the zero saddle-value sum."""
+    return classifying_dim(profile) - profile_counts(profile).extrema - 1
 
 
 def _morse_saddles(profile: FunctionProfile) -> int:
@@ -128,8 +111,7 @@ def orbit_homotopy_type(chi: int, nsaddles: int) -> HomotopyType:
     return HomotopyType.SO3_MOD_G if nsaddles > 0 else HomotopyType.SPHERE
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """All invariants for one profile.
 
     orbit_space_dim is None for non-Morse profiles.  For non-Morse profiles
@@ -151,17 +133,8 @@ class DimensionReport:
     violations: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "marked_points": self.marked_points,
-            "classifying_dim": self.classifying_dim,
-            "normalized_classifying_dim": self.normalized_classifying_dim,
-            "orbit_space_dim": self.orbit_space_dim,
-            "orbit_fibration_dim": self.orbit_fibration_dim,
-            "config_space_dim": self.config_space_dim,
-            "homotopy_type": self.homotopy_type.value,
-            "formal_fields": list(self.formal_fields),
-            "violations": list(self.violations),
-        }
+        return dict(self._asdict(), homotopy_type=self.homotopy_type.value,
+                    formal_fields=list(self.formal_fields), violations=list(self.violations))
 
 
 def report(profile: FunctionProfile) -> DimensionReport:

@@ -22,8 +22,9 @@ pipeline, cross-checks the class sets at desk scale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from . import flowgraph
 from .equiv import CanonicalCode, canonical_code
@@ -42,21 +43,18 @@ def _check_bounds(k: int, what: str = "saddle count") -> None:
         raise SpecOutOfBounds(f"{what} must be in 0..{MAX_SADDLES}, got {k}")
 
 
-@dataclass(frozen=True)
-class EnumSpec:
+class EnumSpec(namedtuple("EnumSpec", "saddles max_extrema gradient_like_only genus")):
     """What to enumerate: saddle count plus optional filters."""
 
-    saddles: int
-    max_extrema: int | None = None
-    gradient_like_only: bool = False
-    genus: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_bounds(self.saddles)
+    def __new__(cls, saddles: int, max_extrema: int | None = None,
+                gradient_like_only: bool = False, genus: int | None = None):
+        _check_bounds(saddles)
+        return super().__new__(cls, saddles, max_extrema, gradient_like_only, genus)
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One equivalence class: canonical representative plus its statistics."""
 
     flow: FlowGraph
@@ -67,8 +65,7 @@ class ClassRecord:
     gradient_like: bool
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     genus: int
     k: int
     sources: int
@@ -77,28 +74,14 @@ class CountRow:
     gradient_like: int
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     rows: tuple[CountRow, ...]
 
     def to_csv(self) -> str:
-        lines = ["genus,k,sources,sinks,classes,gradient_like"]
-        for r in self.rows:
-            lines.append(f"{r.genus},{r.k},{r.sources},{r.sinks},{r.classes},{r.gradient_like}")
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(map(str, r)) + "\n" for r in (CountRow._fields, *self.rows))
 
     def to_json(self) -> list:
-        return [
-            {
-                "genus": r.genus,
-                "k": r.k,
-                "sources": r.sources,
-                "sinks": r.sinks,
-                "classes": r.classes,
-                "gradient_like": r.gradient_like,
-            }
-            for r in self.rows
-        ]
+        return [r._asdict() for r in self.rows]
 
 
 _POLAR_DESCRIPTION = {

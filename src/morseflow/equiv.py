@@ -9,8 +9,7 @@ rotations) is opt-in.
 """
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .flowgraph import OUT, SADDLE, SINK, SOURCE, FlowGraph, build
 
@@ -20,8 +19,7 @@ _KIND_CODE = {SOURCE: 0, SINK: 1, SADDLE: 2}
 _POLAR_CODE = (0,)
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
+class CanonicalCode(NamedTuple):
     """Relabeling-invariant integer sequence; lexicographic total order."""
 
     code: tuple[int, ...]
@@ -32,6 +30,8 @@ class CanonicalCode:
 
     def stable_hash(self) -> str:
         """64-bit digest of the code string, stable across runs and machines."""
+        import hashlib
+
         return hashlib.blake2b(self.as_string().encode(), digest_size=8).hexdigest()
 
     def __lt__(self, other: "CanonicalCode") -> bool:

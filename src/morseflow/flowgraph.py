@@ -32,7 +32,7 @@ validated again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SOURCE = "source"
 SINK = "sink"
@@ -84,8 +84,7 @@ class NonOrientableOrCorrupt(FlowError):
     """Derived Euler characteristic is odd or exceeds 2."""
 
 
-@dataclass(frozen=True)
-class FlowGraph:
+class FlowGraph(NamedTuple):
     """Validated immutable flow; construct through build().
 
     Vertices and darts are referred to by number; per-vertex tuples are

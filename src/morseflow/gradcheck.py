@@ -17,8 +17,7 @@ which makes the assignment canonical for a given flow.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .flowgraph import (
     OUT,
@@ -46,23 +45,15 @@ class InconsistentCounts(ValueError):
     """(sources, sinks, saddles) fit no closed orientable surface."""
 
 
-@dataclass(frozen=True)
-class SaddleDigraph:
+class SaddleDigraph(NamedTuple):
     """Saddle-to-saddle separatrices as a directed multigraph (self-loops
     record homoclinic separatrices)."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def successors(self) -> dict:
-        adj = {v: set() for v in self.nodes}
-        for a, b in self.edges:
-            adj[a].add(b)
-        return adj
 
-
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     cond_sources_sinks: bool
     cond_separatrix_endpoints: bool
     cond_no_directed_cycle: bool
@@ -77,17 +68,11 @@ class CheckReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "cond_sources_sinks": self.cond_sources_sinks,
-            "cond_separatrix_endpoints": self.cond_separatrix_endpoints,
-            "cond_no_directed_cycle": self.cond_no_directed_cycle,
-            "witness_cycle": list(self.witness_cycle) if self.witness_cycle else None,
-            "verdict": self.verdict,
-        }
+        witness = list(self.witness_cycle) if self.witness_cycle else None
+        return dict(self._asdict(), witness_cycle=witness, verdict=self.verdict)
 
 
-@dataclass(frozen=True)
-class EnergyAssignment:
+class EnergyAssignment(NamedTuple):
     """Vertex id -> exact rational critical value."""
 
     values: dict
@@ -128,6 +113,8 @@ def build_energy(flow: FlowGraph) -> EnergyAssignment:
     Raises NotRealizable on incoherent flows and NotGradientLike (carrying
     the CheckReport) on verdict-false flows.
     """
+    from fractions import Fraction
+
     report, saddles, ranks = _analyse(flow)
     if not report.verdict:
         raise NotGradientLike(report)
@@ -226,7 +213,7 @@ def energy_violations(flow: FlowGraph, energy: EnergyAssignment) -> list[str]:
     if set(values) != set(flow.vertex_ids):
         problems.append("assignment does not cover the vertices exactly")
         return problems
-    saddle_sum = Fraction(0)
+    saddle_sum = 0
     for v, kind in zip(flow.vertex_ids, flow.kinds):
         x = values[v]
         if kind == SOURCE and x != 1:

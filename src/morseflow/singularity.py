@@ -10,9 +10,9 @@ checks (extrema exist, gradient indices sum to the Euler characteristic).
 from __future__ import annotations
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 
 class LabelError(ValueError):
@@ -45,8 +45,7 @@ _SIGNS = ("+", "-")
 _LABEL_RE = re.compile(r"^([A-Za-z])(\d+)(?::([+-])(?:,([+-]))?)?$")
 
 
-@dataclass(frozen=True)
-class AdeLabel:
+class AdeLabel(namedtuple("AdeLabel", "family mu sign1 sign2")):
     """One critical-point type: family 'A'|'D'|'E', index mu, signs.
 
     Odd-index A labels carry two signs (except the Morse saddle A1 with a
@@ -54,38 +53,35 @@ class AdeLabel:
     (mu in 6..8) carry exactly one sign.
     """
 
-    family: str
-    mu: int
-    sign1: str
-    sign2: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        f, mu = self.family, self.mu
-        if f not in ("A", "D", "E"):
-            raise InvalidFamilyIndex(f"unknown family {f!r}")
-        if self.sign1 not in _SIGNS or self.sign2 not in _SIGNS + (None,):
-            raise MalformedLabel(f"signs must be '+' or '-', got {self.sign1!r}, {self.sign2!r}")
-        if f == "A":
+    def __new__(cls, family: str, mu: int, sign1: str, sign2: str | None = None):
+        if family not in ("A", "D", "E"):
+            raise InvalidFamilyIndex(f"unknown family {family!r}")
+        if sign1 not in _SIGNS or sign2 not in _SIGNS + (None,):
+            raise MalformedLabel(f"signs must be '+' or '-', got {sign1!r}, {sign2!r}")
+        if family == "A":
             if mu < 1:
                 raise InvalidFamilyIndex(f"A{mu}: index must be >= 1")
             if mu % 2 == 1:
-                if mu == 1 and self.sign1 == "-":
-                    if self.sign2 is not None:
+                if mu == 1 and sign1 == "-":
+                    if sign2 is not None:
                         raise SignArityMismatch("A1:- is a Morse saddle and carries a single sign")
-                elif self.sign2 is None:
-                    raise SignArityMismatch(f"A{mu} with sign1={self.sign1} needs two signs")
-            elif self.sign2 is not None:
+                elif sign2 is None:
+                    raise SignArityMismatch(f"A{mu} with sign1={sign1} needs two signs")
+            elif sign2 is not None:
                 raise SignArityMismatch(f"A{mu} (even index) carries exactly one sign")
-        elif f == "D":
+        elif family == "D":
             if mu < 4:
                 raise InvalidFamilyIndex(f"D{mu}: family D starts at D4")
-            if self.sign2 is not None:
+            if sign2 is not None:
                 raise SignArityMismatch(f"D{mu} carries exactly one sign")
         else:
             if mu not in (6, 7, 8):
                 raise InvalidFamilyIndex(f"E{mu}: family E is restricted to E6, E7, E8")
-            if self.sign2 is not None:
+            if sign2 is not None:
                 raise SignArityMismatch(f"E{mu} carries exactly one sign")
+        return super().__new__(cls, family, mu, sign1, sign2)
 
     def __str__(self):
         return format_label(self)
@@ -170,17 +166,16 @@ def gradient_index(label: AdeLabel) -> int:
     return _CLASS_INDEX[classify(label)]
 
 
-@dataclass(frozen=True)
-class FunctionProfile:
-    """Genus of the surface plus the multiset of critical-point labels."""
+class FunctionProfile(namedtuple("FunctionProfile", "genus labels")):
+    """Genus of the surface plus the multiset of critical-point labels
+    (any iterable of AdeLabel, stored as a tuple)."""
 
-    genus: int
-    labels: tuple[AdeLabel, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise MalformedLabel(f"genus must be >= 0, got {self.genus}")
-        object.__setattr__(self, "labels", tuple(self.labels))
+    def __new__(cls, genus: int, labels):
+        if genus < 0:
+            raise MalformedLabel(f"genus must be >= 0, got {genus}")
+        return super().__new__(cls, genus, tuple(labels))
 
     @property
     def euler_characteristic(self) -> int:
@@ -208,8 +203,7 @@ class FunctionProfile:
         return {"genus": self.genus, "labels": [format_label(l) for l in self.labels]}
 
 
-@dataclass(frozen=True)
-class ProfileCounts:
+class ProfileCounts(NamedTuple):
     """Per-class cardinalities of a profile's label multiset."""
 
     total: int

@@ -186,7 +186,7 @@ def test_flow_holds_only_tuples_and_scalars():
         rev = reverse(flow)
         assert hash(rev) == hash(reverse(load_flow(name)))
         assert all(type(leaf) in (str, int, bool)
-                   for f in (flow, rev) for value in vars(f).values() for leaf in leaves(value))
+                   for f in (flow, rev) for value in f._asdict().values() for leaf in leaves(value))
 
 
 def _containers(node, path=()):
