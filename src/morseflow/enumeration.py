@@ -8,8 +8,8 @@ and the leftover out/in darts are absorbed by sinks/sources encoded as
 permutations whose cycles are the extrema with their rotation orders.  The
 filters read one array `part` (the partner of a matched dart, the next dart of
 an extremum cycle) in this order: coherence on the reduced face trace, then
-connectivity, then the index count.  Survivors are materialized into real
-FlowGraphs and deduplicated by canonical code.
+connectivity.  Survivors are materialized through build(), which derives
+their genus and counts, then deduplicated by canonical code.
 
 The candidate space is pruned by the exact symmetry group of the encoding
 (saddle relabelings and half-turns of individual saddles).  The orbit test
@@ -204,48 +204,19 @@ def _canonical_matchings(k: int):
             yield matching, stab
 
 
-def _perm_variants(dart_set: list, stab: list | None):
-    """Permutations of dart_set as (assignment, cycles); with a stabilizer,
-    only representatives canonical under it are kept (coverage is preserved
-    because the stabilizer acts jointly on both extremum sides).  Assignments
-    are written into `part`, then filtered by coherence on the reduced trace,
-    connectivity on the same array, and the index count."""
-    darts = sorted(dart_set)
+def _sink_variants(darts: list, stab: list) -> list:
+    """Images of the ascending darts under the sink permutations that are
+    least under conjugation by the stabilizer; coverage is preserved because
+    the stabilizer acts jointly on both extremum sides."""
     index = {d: i for i, d in enumerate(darts)}
-    inverses = None
-    if stab:
-        inverses = []
-        for g in stab:
-            inv = [0] * len(g)
-            for a, b in enumerate(g):
-                inv[b] = a
-            inverses.append(tuple(inv))
+    inverses = [sorted(range(len(g)), key=g.__getitem__) for g in stab]
     variants = []
     for images in permutations(darts):
-        if stab:
-            enc = images
-            minimal = True
-            for g, ginv in zip(stab, inverses):
-                other = tuple(g[images[index[ginv[d]]]] for d in darts)
-                if other < enc:
-                    minimal = False
-                    break
-            if not minimal:
-                continue
-        mapping = dict(zip(darts, images))
-        cycles = []
-        left = set(darts)
-        while left:
-            d0 = min(left)
-            cyc = [d0]
-            left.remove(d0)
-            d = mapping[d0]
-            while d != d0:
-                cyc.append(d)
-                left.remove(d)
-                d = mapping[d]
-            cycles.append(tuple(cyc))
-        variants.append((tuple(zip(darts, images)), tuple(cycles)))
+        for g, ginv in zip(stab, inverses):
+            if tuple([g[images[index[ginv[d]]]] for d in darts]) < images:
+                break
+        else:
+            variants.append(images)
     return variants
 
 
@@ -264,16 +235,13 @@ def _connected(k: int, part: list) -> bool:
     return all(seen)
 
 
-def _trace_faces(n: int, part: list, is_ext: list):
-    """Count faces of the reduced map and enforce coherence (exactly two
-    sign runs per face, counting the implicit extremum hop which always
-    flips the sign).  Returns the face count or None when incoherent."""
+def _coherent(n: int, part: list, is_ext: list) -> bool:
+    """Whether every face of the reduced map has exactly two sign runs,
+    counting the implicit extremum hop, which always flips the sign."""
     seen = [False] * n
-    nfaces = 0
     for d0 in range(n):
         if seen[d0]:
             continue
-        nfaces += 1
         changes = 0
         first = prev = not (d0 & 1)
         d = d0
@@ -283,20 +251,36 @@ def _trace_faces(n: int, part: list, is_ext: list):
             if d != d0 and s != prev:
                 changes += 1
                 if changes > 2:
-                    return None
+                    return False
             prev = s
             if is_ext[d]:
                 changes += 1
                 if changes > 2:
-                    return None
+                    return False
                 prev = not s
             p = part[d]
             d = (p & ~3) | ((p + 1) & 3)
             if d == d0:
                 break
-        if changes + (1 if prev != first else 0) != 2:
-            return None
-    return nfaces
+        if changes + (prev != first) != 2:
+            return False
+    return True
+
+
+def _cycles(part: list, darts: list) -> tuple:
+    """The cycles of part through the ascending extremum darts, each from its
+    least dart, in increasing order of that dart."""
+    left = set(darts)
+    cycles = []
+    for d in darts:
+        if d in left:
+            cycle = []
+            while d in left:
+                left.remove(d)
+                cycle.append(d)
+                d = part[d]
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
 
 
 def _materialize(k: int, matching: tuple, src_cycles: tuple, snk_cycles: tuple) -> dict:
@@ -331,69 +315,52 @@ def _materialize(k: int, matching: tuple, src_cycles: tuple, snk_cycles: tuple) 
     }
 
 
+def _record(flow: FlowGraph, code: CanonicalCode) -> ClassRecord:
+    """The class record of a flow, with its topology read from build()'s
+    trace; the saddle-free flow is gradient-like and is not checked."""
+    p, q, _ = flow.counts()
+    return ClassRecord(flow, code, flowgraph.genus(flow), p, q,
+                       flow.special_polar or check_gradient_like(flow).verdict)
+
+
 def _generate(k: int):
     if k == 0:
         flow = build(_POLAR_DESCRIPTION)
-        yield ClassRecord(flow, canonical_code(flow), 0, 1, 1, True)
+        yield _record(flow, canonical_code(flow))
         return
 
     n = 4 * k
-    seen_codes: dict = {}
+    seen_codes = set()
     records = []
 
     for matching, stab in _canonical_matchings(k):
-        t = len(matching)
-        matched = set()
-        base_part = [0] * n
+        # unmatched darts stay fixed until an extremum permutation moves them
+        part = list(range(n))
         for a, b in matching:
-            matched.add(a)
-            matched.add(b)
-            base_part[a] = b
-            base_part[b] = a
-        is_ext = [d not in matched for d in range(n)]
-        sink_fed = [d for d in range(n) if is_ext[d] and d % 2 == 0]
-        source_fed = [d for d in range(n) if is_ext[d] and d % 2 == 1]
+            part[a] = b
+            part[b] = a
+        is_ext = [part[d] == d for d in range(n)]
+        sink_fed = [d for d in range(0, n, 2) if is_ext[d]]
+        source_fed = [d for d in range(1, n, 2) if is_ext[d]]
+        src_variants = list(permutations(source_fed))
 
-        snk_variants = _perm_variants(sink_fed, stab)
-        src_variants = _perm_variants(source_fed, None)
-
-        for snk_assign, snk_cycles in snk_variants:
-            for src_assign, src_cycles in src_variants:
-                part = base_part[:]
-                for d, img in snk_assign:
+        for snk_images in _sink_variants(sink_fed, stab):
+            for d, img in zip(sink_fed, snk_images):
+                part[d] = img
+            for src_images in src_variants:
+                for d, img in zip(source_fed, src_images):
                     part[d] = img
-                for d, img in src_assign:
-                    part[d] = img
-                nfaces = _trace_faces(n, part, is_ext)
-                # connectivity before the chi checks: disconnected coherent
-                # candidates can have chi 4 or 6
-                if nfaces is None or not _connected(k, part):
+                if not (_coherent(n, part, is_ext) and _connected(k, part)):
                     continue
-                p, q = len(src_cycles), len(snk_cycles)
-                chi = (k + p + q) - (4 * k - t) + nfaces
-                if chi % 2 != 0 or chi > 2:
-                    raise AssertionError((matching, snk_assign, src_assign))
-                if p + q - k != chi:
-                    raise AssertionError("index count violated by a coherent candidate")
-
-                flow = build(_materialize(k, matching, src_cycles, snk_cycles))
-                code = canonical_code(flow)
-                if code.code in seen_codes:
-                    continue
-                seen_codes[code.code] = True
-                # the reduced trace must agree with the module-level checks
+                flow = build(_materialize(k, matching, _cycles(part, source_fed),
+                                          _cycles(part, sink_fed)))
+                # the reduced trace must agree with build()'s own trace
                 if not (face_coherence_check(flow) and flowgraph.poincare_hopf_check(flow)):
-                    raise AssertionError
-                records.append(
-                    ClassRecord(
-                        flow,
-                        code,
-                        (2 - chi) // 2,
-                        p,
-                        q,
-                        check_gradient_like(flow).verdict,
-                    )
-                )
+                    raise AssertionError(matching)
+                code = canonical_code(flow)
+                if code.code not in seen_codes:
+                    seen_codes.add(code.code)
+                    records.append(_record(flow, code))
 
     records.sort(key=lambda r: r.code.code)
     yield from records
@@ -427,7 +394,7 @@ def naive_enumerate_classes(k: int) -> tuple[ClassRecord, ...]:
     _check_bounds(k)
     if k == 0:
         flow = build(_POLAR_DESCRIPTION)
-        return (ClassRecord(flow, canonical_code(flow), 0, 1, 1, True),)
+        return (_record(flow, canonical_code(flow)),)
 
     by_code: dict = {}
     for matching in _matchings(k):
@@ -448,13 +415,5 @@ def naive_enumerate_classes(k: int) -> tuple[ClassRecord, ...]:
                 code = canonical_code(flow)
                 if code.code in by_code:
                     continue
-                p, q, _ = flow.counts()
-                by_code[code.code] = ClassRecord(
-                    flow,
-                    code,
-                    flowgraph.genus(flow),
-                    p,
-                    q,
-                    check_gradient_like(flow).verdict,
-                )
+                by_code[code.code] = _record(flow, code)
     return tuple(sorted(by_code.values(), key=lambda r: r.code.code))

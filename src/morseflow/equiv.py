@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .flowgraph import OUT, SADDLE, SINK, SOURCE, FlowGraph, build
+from .flowgraph import OUT, SADDLE, SINK, SOURCE, FlowGraph, MalformedFlow, build
 
 _KIND_CODE = {SOURCE: 0, SINK: 1, SADDLE: 2}
 
@@ -85,7 +85,9 @@ def equivalent(f1: FlowGraph, f2: FlowGraph, include_mirror: bool = False) -> bo
 
 def relabel(flow: FlowGraph, vertex_map: dict, dart_map: dict) -> FlowGraph:
     """Rename vertex and dart ids through total bijections; the structure is
-    unchanged, so the result is always equivalent to the input."""
+    unchanged, so the result is always equivalent to the input.  A map that is
+    not a dict taking the flow's ids to distinct ids raises ValueError, and
+    an image that is not a string raises MalformedFlow (a FlowError)."""
     _check_bijection(vertex_map, flow.vertex_ids, "vertex")
     _check_bijection(dart_map, flow.dart_ids, "dart")
     desc = flow.to_description()
@@ -98,9 +100,13 @@ def relabel(flow: FlowGraph, vertex_map: dict, dart_map: dict) -> FlowGraph:
 
 
 def _check_bijection(mapping: dict, domain: tuple, what: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{what} map must be a dict, got {type(mapping).__name__}")
     missing = sorted(set(domain) - set(mapping))
     if missing:
         raise ValueError(f"{what} map misses ids {missing}")
     images = [mapping[x] for x in domain]
+    if not all(isinstance(image, str) for image in images):
+        raise MalformedFlow(f"{what} map images must be string ids")
     if len(set(images)) != len(images):
         raise ValueError(f"{what} map is not injective on the flow's ids")

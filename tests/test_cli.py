@@ -1,12 +1,16 @@
 """CLI behaviour: exit codes, schemas, and byte determinism."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path
+from conftest import FLOW_FIXTURES, PROFILE_FIXTURES, fixture_path, load_description
 from morseflow import cli
+from test_flowgraph import DESCRIPTION_KEYS, json_values, mutate
 
 def run_cli(*args):
     return subprocess.run(
@@ -193,3 +197,43 @@ def test_deterministic_output(args):
     second = run_cli(cmd, str(fixture_path(name)))
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode
+
+
+_FUZZED_COMMANDS = [["validate"], ["check"], ["check", "--report", "json"], ["energy"],
+                    ["canon"], ["canon", "--mirror"], ["export-dot"], ["dims"]]
+
+
+def _strings(node):
+    """Every string key and value inside a JSON value."""
+    if isinstance(node, str):
+        return {node}
+    if isinstance(node, dict):
+        return set(node) | {s for child in node.values() for s in _strings(child)}
+    if isinstance(node, list):
+        return {s for child in node for s in _strings(child)}
+    return set()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_main_exits_0_1_or_2_on_fuzzed_files(tmp_path_factory, data):
+    """In-process main() on a mutated fixture or random JSON: exit 3 (an
+    internal error) is a fault of the program, so only 0, 1 and 2 occur."""
+    command = data.draw(st.sampled_from(_FUZZED_COMMANDS))
+    name = data.draw(st.sampled_from(PROFILE_FIXTURES if command == ["dims"] else FLOW_FIXTURES))
+    if data.draw(st.booleans()):
+        content = load_description(name)
+        words = sorted(_strings(content))
+        mutate(data, content, st.one_of(st.sampled_from(words), json_values), words + ["zz"])
+    else:
+        keys = DESCRIPTION_KEYS + ["genus", "labels"]
+        content = data.draw(st.one_of(json_values, st.dictionaries(st.sampled_from(keys), json_values)))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(content))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([command[0], str(path), *command[1:]])
+        except SystemExit as stop:  # argparse usage errors
+            code = stop.code
+    assert code in (0, 1, 2), err.getvalue()

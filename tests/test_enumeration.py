@@ -4,6 +4,8 @@ The pinned counts were produced by the first run of the symmetry-reduced
 generator and cross-checked, class by class via canonical codes, against the
 naive generator for k <= 2; they are regression values of this tool.
 """
+import hashlib
+import json
 import math
 from itertools import permutations
 
@@ -15,12 +17,12 @@ from morseflow.enumeration import (
     EnumSpec,
     SpecOutOfBounds,
     _canonical_matchings,
+    _coherent,
     _connected,
     _cyclic_set_partitions,
     _matchings,
-    _perm_variants,
+    _sink_variants,
     _symmetries,
-    _trace_faces,
     count_table,
     enumerate_classes,
     enumerate_flows,
@@ -62,6 +64,17 @@ def test_pinned_regression_counts(k):
     assert tally(records) == PINNED[k]
 
 
+def test_pinned_class_representatives():
+    """Every k <= 3 representative, its code and its statistics, one JSON
+    line each, hash to the digest recorded when they were first pinned."""
+    lines = [json.dumps([r.flow.to_description(), r.code.as_string(), r.genus, r.sources,
+                         r.sinks, r.gradient_like], sort_keys=True)
+             for k in range(4) for r in enumerate_classes(k)]
+    assert len(lines) == 273
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fb392c88a735de10987487c3768f5aefb76a583c517ae5a198e5158bf44b0a24"
+
+
 def _aut_order(flow) -> int:
     """|Aut| of a connected flow: the start darts whose traversal code is least."""
     labels = [(_KIND_CODE[flow.kinds[v]], 0 if x == OUT else 1)
@@ -95,7 +108,7 @@ def test_orbit_counting_identities(k, matchings, candidates):
     G, the saddle relabelings and half-turns, acts on the unpruned encoding.
     (a) The canonical matchings, weighted by orbit size |G|/|Stab M|, count
     every matching.  (a') For each canonical M, the sink permutations kept by
-    _perm_variants, weighted by |Stab M|/|C(sigma)|, count every permutation.
+    _sink_variants, weighted by |Stab M|/|C(sigma)|, count every permutation.
     (b) The classes, weighted by |G|/|Aut c|, count the coherent connected
     candidates of the unpruned encoding, obtained from the kept (M, sigma)
     weighted by |G|/|C(sigma)|.  (a) and (a') catch a wrong orbit test or a
@@ -118,18 +131,18 @@ def test_orbit_counting_identities(k, matchings, candidates):
         sink_fed = [d for d in range(n) if is_ext[d] and d % 2 == 0]
         source_fed = [d for d in range(n) if is_ext[d] and d % 2 == 1]
         sigma_mass = 0
-        for snk_assign, _ in _perm_variants(sink_fed, stab):
-            sigma = dict(snk_assign)
+        for snk_images in _sink_variants(sink_fed, stab):
+            sigma = dict(zip(sink_fed, snk_images))
             centralizer = sum(1 for g in stab if all(g[sigma[d]] == sigma[g[d]] for d in sink_fed))
             assert len(stab) % centralizer == 0
             sigma_mass += len(stab) // centralizer
-            for d, img in snk_assign:
+            for d, img in sigma.items():
                 part[d] = img
             kept = 0
-            for src_assign, _ in _perm_variants(source_fed, None):
-                for d, img in src_assign:
+            for src_images in permutations(source_fed):
+                for d, img in zip(source_fed, src_images):
                     part[d] = img
-                if _trace_faces(n, part, is_ext) is not None and _connected(k, part):
+                if _coherent(n, part, is_ext) and _connected(k, part):
                     kept += 1
             candidate_mass += len(group) // centralizer * kept
         assert sigma_mass == math.factorial(len(sink_fed))

@@ -6,6 +6,7 @@ import pytest
 from morseflow import build, canonical_code, equivalent, relabel, reverse
 from morseflow.enumeration import enumerate_classes
 from morseflow.equiv import CanonicalCode
+from morseflow.flowgraph import FlowError
 
 from conftest import FLOW_FIXTURES, load_flow
 
@@ -72,6 +73,34 @@ def test_relabel_rejects_collapse(sphere1):
         relabel(sphere1, vmap, dmap)
     with pytest.raises(ValueError):
         relabel(sphere1, {}, {d: d for d in sphere1.dart_ids})
+
+
+def _bad_maps(ids):
+    """Maps of the ids that relabel must refuse, each with its error."""
+    ident = {x: x for x in ids}
+    missing = dict(ident)
+    del missing[ids[0]]
+    return [
+        (missing, ValueError),
+        ({**ident, ids[0]: ids[1]}, ValueError),  # not injective
+        (sorted(ident.items()), ValueError),  # not a dict
+        (None, ValueError),
+        ({**ident, ids[0]: ["x"]}, FlowError),  # unhashable image
+        ({**ident, ids[0]: 3}, FlowError),  # image not a string
+    ]
+
+
+def test_relabel_raises_only_documented_errors(sphere1):
+    vmap = {v: v for v in sphere1.vertex_ids}
+    dmap = {d: d for d in sphere1.dart_ids}
+    for bad, error in _bad_maps(sphere1.vertex_ids):
+        with pytest.raises(error) as info:
+            relabel(sphere1, bad, dmap)
+        assert isinstance(info.value, FlowError) is (error is FlowError)
+    for bad, error in _bad_maps(sphere1.dart_ids):
+        with pytest.raises(error) as info:
+            relabel(sphere1, vmap, bad)
+        assert isinstance(info.value, FlowError) is (error is FlowError)
 
 
 def _mirror(flow):

@@ -2,7 +2,7 @@
 import copy
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from morseflow import flowgraph
 from morseflow.enumeration import enumerate_classes
@@ -24,6 +24,7 @@ from morseflow.flowgraph import (
     poincare_hopf_check,
     reverse,
 )
+from morseflow.gradcheck import NotRealizable, check_gradient_like
 
 from conftest import FLOW_FIXTURES, load_description, load_flow
 from test_gradcheck import _grow_saddle_path
@@ -197,6 +198,44 @@ def _containers(node, path=()):
             yield from _containers(child, path + (key,))
 
 
+def mutate(data, desc, values, new_keys):
+    """Edit desc in place one to three times: replace, drop or duplicate an
+    entry of a dict or list inside it, or add one to an empty one."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = desc
+        for key in data.draw(st.sampled_from(list(_containers(desc)))):
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = data.draw(st.sampled_from(["replace", "drop", "duplicate"])) if keys else "add"
+        key = data.draw(st.sampled_from(keys)) if keys else None
+        if op == "replace":
+            node[key] = data.draw(values)
+        elif op == "drop":
+            del node[key]
+        elif isinstance(node, dict):
+            new = data.draw(st.sampled_from(new_keys))
+            node[new] = copy.deepcopy(node[key]) if op == "duplicate" else data.draw(values)
+        else:
+            node.append(copy.deepcopy(node[key]) if op == "duplicate" else data.draw(values))
+
+
+_WORDS = st.sampled_from(
+    ["a", "b", "c", "id", "kind", "out", "in", "source", "sink", "saddle", "A1:+,+", "A1:-"])
+_KINDS = st.sampled_from(["source", "sink", "saddle", "x"])
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(), _WORDS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_WORDS, inner, max_size=3)),
+    max_leaves=8)
+DESCRIPTION_KEYS = ["special_polar", "vertices", "rotation", "dart_dir", "pairing", "genus_hint"]
+# vertex lists are also drawn as lists of {"id", "kind"} entries, so that
+# some random descriptions get past the vertex checks
+random_descriptions = st.fixed_dictionaries({}, optional={
+    key: st.one_of(json_values, st.lists(st.fixed_dictionaries({"id": json_values, "kind": _KINDS}),
+                                         max_size=3)) if key == "vertices" else json_values
+    for key in DESCRIPTION_KEYS})
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_build_fuzzed_fixtures_raise_only_flow_error(data):
@@ -211,22 +250,7 @@ def test_build_fuzzed_fixtures_raise_only_flow_error(data):
         st.sampled_from(ids + ["zz", "out", "in", "source", "sink", "saddle"]),
         st.one_of(st.none(), st.booleans(), st.integers(-1, 4), st.just(0.5),
                   st.builds(list), st.builds(dict)))
-    for _ in range(data.draw(st.integers(1, 3))):
-        node = desc
-        for key in data.draw(st.sampled_from(list(_containers(desc)))):
-            node = node[key]
-        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
-        op = data.draw(st.sampled_from(["replace", "drop", "duplicate"])) if keys else "add"
-        key = data.draw(st.sampled_from(keys)) if keys else None
-        if op == "replace":
-            node[key] = data.draw(values)
-        elif op == "drop":
-            del node[key]
-        elif isinstance(node, dict):
-            new = data.draw(st.sampled_from(ids + ["zz"]))
-            node[new] = copy.deepcopy(node[key]) if op == "duplicate" else data.draw(values)
-        else:
-            node.append(copy.deepcopy(node[key]) if op == "duplicate" else data.draw(values))
+    mutate(data, desc, values, ids + ["zz"])
     try:
         flow = build(desc)
     except flowgraph.FlowError:
@@ -236,6 +260,29 @@ def test_build_fuzzed_fixtures_raise_only_flow_error(data):
     assert again.to_description() == flow.to_description()
     assert canonical_code(again) == canonical_code(flow)
     assert canonical_code(reverse(reverse(flow))) == canonical_code(flow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_descriptions)
+@example(load_description("polar"))
+@example(load_description("sphere1"))
+@example(load_description("cyclic"))
+@example(load_description("cycleface"))
+def test_build_random_descriptions_raise_only_flow_error(desc):
+    """Nested JSON values under the description keys: build() raises only a
+    FlowError, and on a flow it returns the canonical codes and the reverse
+    return, and the gradient check returns or raises NotRealizable."""
+    try:
+        flow = build(desc)
+    except flowgraph.FlowError:
+        return
+    canonical_code(flow)
+    canonical_code(flow, include_mirror=True)
+    reverse(flow)
+    try:
+        check_gradient_like(flow)
+    except NotRealizable:
+        pass
 
 
 # ---------------------------------------------------------------------------
