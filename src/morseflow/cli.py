@@ -117,13 +117,18 @@ def _cmd_enum(args) -> int:
 _DOT_SHAPES = {"source": "circle", "sink": "doublecircle", "saddle": "diamond"}
 
 
+def _dot_id(vid: str) -> str:
+    """A DOT quoted string: backslash and double quote escaped."""
+    return '"' + vid.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _cmd_export_dot(args) -> int:
     flow = _load_flow(args.flow)
     lines = ["digraph flow {"]
     for v, kind in zip(flow.vertex_ids, flow.kinds):
-        lines.append(f'  "{v}" [shape={_DOT_SHAPES[kind]}];')
+        lines.append(f"  {_dot_id(v)} [shape={_DOT_SHAPES[kind]}];")
     for tail, head in flow.edges():
-        lines.append(f'  "{tail}" -> "{head}";')
+        lines.append(f"  {_dot_id(tail)} -> {_dot_id(head)};")
     lines.append("}")
     print("\n".join(lines))
     return 0

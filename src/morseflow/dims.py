@@ -47,53 +47,37 @@ def num_marked_points(chi: int) -> int:
 
 def classifying_dim(profile: FunctionProfile) -> int:
     """Dimension of the classifying manifold of the space of functions."""
-    c = profile_counts(profile)
-    s = num_marked_points(profile.euler_characteristic)
-    return (
-        2 * s
-        + c.total
-        + c.degenerate_extrema
-        + c.quasi_saddles
-        + 2 * c.saddles
-        + 3 * c.multi_saddles
-    )
+    return report(profile).classifying_dim
 
 
 def normalized_classifying_dim(profile: FunctionProfile) -> int:
     """Dimension of the normalized-value submanifold: classifying_dim minus
     one per extremum (pinned to +-1) and one for the zero saddle-value sum."""
-    return classifying_dim(profile) - profile_counts(profile).extrema - 1
+    return report(profile).normalized_classifying_dim
 
 
-def _morse_saddles(profile: FunctionProfile) -> int:
-    """Saddle count of a Morse profile with both extremum types; the guard
-    of the Morse-only dimensions."""
+def _check_morse(profile: FunctionProfile) -> None:
+    """Guard of the Morse-only dimensions: a Morse profile with both
+    extremum types."""
     counts = profile_counts(profile)
     if not profile.is_morse():
         raise NonMorseProfile(f"profile contains degenerate labels: {profile.to_json()['labels']}")
     if counts.minima < 1 or counts.maxima < 1:
         raise ValueError("Morse profile must have at least one minimum and one maximum")
-    return counts.saddles
-
-
-def _orbit_space_dim(saddles: int) -> int:
-    return 2 * saddles
-
-
-def _orbit_fibration_dim(saddles: int, chi: int) -> int:
-    return saddles + 2 * num_marked_points(chi) - 1
 
 
 def flow_orbit_space_dim(profile: FunctionProfile) -> int:
     """Dimension of the orbit space of gradient-like flows with enumerated
     extrema: twice the saddle count.  Morse profiles only."""
-    return _orbit_space_dim(_morse_saddles(profile))
+    _check_morse(profile)
+    return report(profile).orbit_space_dim
 
 
 def orbit_fibration_dim(profile: FunctionProfile) -> int:
     """Dimension of the fibration by isotopy orbits on the normalized
     classifying manifold: saddles + 2s - 1.  Morse profiles only."""
-    return _orbit_fibration_dim(_morse_saddles(profile), profile.euler_characteristic)
+    _check_morse(profile)
+    return report(profile).orbit_fibration_dim
 
 
 def config_space_dim(chi: int) -> int:
@@ -147,12 +131,15 @@ def report(profile: FunctionProfile) -> DimensionReport:
     c = profile_counts(profile)
     chi = profile.euler_characteristic
     morse = profile.is_morse()
+    s = num_marked_points(chi)
+    classifying = (2 * s + c.total + c.degenerate_extrema + c.quasi_saddles
+                   + 2 * c.saddles + 3 * c.multi_saddles)
     return DimensionReport(
-        marked_points=num_marked_points(chi),
-        classifying_dim=classifying_dim(profile),
-        normalized_classifying_dim=normalized_classifying_dim(profile),
-        orbit_space_dim=_orbit_space_dim(c.saddles) if morse else None,
-        orbit_fibration_dim=_orbit_fibration_dim(c.saddles, chi),
+        marked_points=s,
+        classifying_dim=classifying,
+        normalized_classifying_dim=classifying - c.extrema - 1,
+        orbit_space_dim=2 * c.saddles if morse else None,
+        orbit_fibration_dim=c.saddles + 2 * s - 1,
         config_space_dim=config_space_dim(chi),
         homotopy_type=orbit_homotopy_type(chi, c.saddles),
         formal_fields=() if morse else ("orbit_fibration_dim", "homotopy_type"),

@@ -8,10 +8,11 @@ flow.  Saddles have exactly four darts alternating out/in; source darts all
 point out, sink darts all point in.  Every separatrix has at least one saddle
 end (trajectories joining two extrema are not separatrices and are rejected).
 
-build() interns the ids: vertices and darts are numbered in sorted-id order,
-and the map is held as immutable per-dart tuples (vertex, rotation successor,
-paired dart, direction).  String ids appear only in descriptions, facial
-walks and edge lists.
+build() first numbers the ids, vertices and darts in sorted-id order, and
+then checks the integer arrays that the flow keeps: immutable per-dart tuples
+(vertex, rotation successor, paired dart, direction).  In build() string ids
+only look darts up and name them in error messages; elsewhere they appear
+only in descriptions, facial walks and edge lists.
 
 The unique saddle-free flow (one source, one sink, no separatrices) does not
 induce a cell decomposition, so it is stored as a special token; its Euler
@@ -21,8 +22,8 @@ Faces are traced once, in build(), by the standard orbit rule "paired dart,
 then rotation successor"; the Euler characteristic, genus and face coherence
 are derived from them and never taken on trust from the input.  Coherence is
 counted during that trace, so each dart is visited once per flow.  build()
-validates each dart in one pass and builds the sets that name offending ids
-only to write an error message.
+validates each dart in one pass; a failing ring is read a second time only
+to name its first error.
 
 reverse() computes the time-reversed flow on these arrays: the ids, dart
 vertices, pairing and Euler characteristic are kept, kinds and directions
@@ -168,125 +169,116 @@ def build(description: dict) -> FlowGraph:
     dart_dir_in = description.get("dart_dir", {})
     pairing_in = description.get("pairing", [])
 
+    # Tuples are made from lists, not generators: CPython grows a tuple made
+    # from a generator in place, so it never reuses the per-size tuple free
+    # list that it is returned to, and that list would only fill.
+    vertex_ids = tuple(sorted(kinds))
+    kind_of = tuple([kinds[v] for v in vertex_ids])
     if special:
         if sorted(kinds.values()) != [SINK, SOURCE]:
             raise BadSpecialPolar("special_polar needs exactly one source and one sink")
         if rotation_in or dart_dir_in or pairing_in:
             raise BadSpecialPolar("special_polar flows carry no darts")
-        flow = _intern(True, kinds, {}, {}, {})
+        flow = FlowGraph(True, vertex_ids, kind_of, ((), ()), (), (), (), (), (), ((), ()), 2, True)
         _check_genus_hint(description, flow)
         return flow
 
     if not isinstance(rotation_in, dict) or not isinstance(dart_dir_in, dict):
         raise MalformedFlow('"rotation" and "dart_dir" must be objects')
-
     for d, direction in dart_dir_in.items():
         if not isinstance(d, str) or direction not in (OUT, IN):
             raise MalformedFlow(f"bad dart_dir entry {d!r}: {direction!r}")
-    dart_dir = dart_dir_in
+
+    # Number the ids, then check the arrays the flow keeps; -1 marks a dart
+    # not yet attached to a vertex or not yet paired.
+    vertex_num = dict(zip(vertex_ids, range(len(vertex_ids))))
+    dart_ids = tuple(sorted(dart_dir_in))
+    dart_num = dict(zip(dart_ids, range(len(dart_ids))))
+    directions = tuple([dart_dir_in[d] for d in dart_ids])
+    dart_vertex = [-1] * len(dart_ids)
+    rings = [()] * len(vertex_ids)
 
     # One pass per ring; a failing dart re-reads the ring only to name the
     # first error in the order of the checks: dart types, then each dart.
-    rotation: dict = {}
-    dart_vertex: dict = {}
-    for v, ring in rotation_in.items():
-        if v not in kinds:
-            raise MalformedFlow(f"rotation lists unknown vertex {v}")
+    for vid, ring in rotation_in.items():
+        v = vertex_num.get(vid)
+        if v is None:
+            raise MalformedFlow(f"rotation lists unknown vertex {vid}")
         if not isinstance(ring, list):
-            raise MalformedFlow(f"rotation of {v} must be a list of dart ids")
-        for d in ring:
-            if not isinstance(d, str) or d not in dart_dir or d in dart_vertex:
-                if not all(isinstance(x, str) for x in ring):
-                    raise MalformedFlow(f"rotation of {v} must be a list of dart ids")
-                if d not in dart_dir:
-                    raise MalformedFlow(f"vertex {v}: dart {d} missing from dart_dir")
-                raise MalformedFlow(f"dart {d} appears at two vertices")
+            raise MalformedFlow(f"rotation of {vid} must be a list of dart ids")
+        darts = []
+        for x in ring:
+            d = dart_num.get(x, -1) if isinstance(x, str) else -1
+            if d < 0 or dart_vertex[d] >= 0:
+                if not all(isinstance(y, str) for y in ring):
+                    raise MalformedFlow(f"rotation of {vid} must be a list of dart ids")
+                if d < 0:
+                    raise MalformedFlow(f"vertex {vid}: dart {x} missing from dart_dir")
+                raise MalformedFlow(f"dart {x} appears at two vertices")
             dart_vertex[d] = v
-        rotation[v] = ring
-    if len(dart_vertex) != len(dart_dir):  # dart_vertex is a subset of dart_dir
-        loose = sorted(set(dart_dir) - set(dart_vertex))
+            darts.append(d)
+        rings[v] = tuple(darts)
+    if -1 in dart_vertex:
+        loose = [x for x, v in zip(dart_ids, dart_vertex) if v < 0]
         raise MalformedFlow(f"darts not attached to any vertex: {loose}")
 
-    for v, kind in kinds.items():
-        ring = rotation.get(v, ())
+    succ = [0] * len(dart_ids)
+    for vid, kind in kinds.items():
+        ring = rings[vertex_num[vid]]
         if kind == SADDLE:
             if len(ring) != 4:
-                raise NonAlternatingSaddle(f"saddle {v} has {len(ring)} darts, needs 4")
-            first = dart_dir[ring[0]]  # alternating: first, other, first, other
-            if (dart_dir[ring[1]] == first or dart_dir[ring[2]] != first
-                    or dart_dir[ring[3]] == first):
-                raise NonAlternatingSaddle(f"saddle {v}: darts do not alternate out/in")
+                raise NonAlternatingSaddle(f"saddle {vid} has {len(ring)} darts, needs 4")
+            first = directions[ring[0]]  # alternating: first, other, first, other
+            if (directions[ring[1]] == first or directions[ring[2]] != first
+                    or directions[ring[3]] == first):
+                raise NonAlternatingSaddle(f"saddle {vid}: darts do not alternate out/in")
         else:
             if not ring:
-                raise IsolatedExtremum(f"{kind} {v} has no darts")
+                raise IsolatedExtremum(f"{kind} {vid} has no darts")
             want = OUT if kind == SOURCE else IN
             for d in ring:
-                if dart_dir[d] != want:
-                    raise BadDartDirection(f"{kind} {v}: dart {d} must be {want}")
+                if directions[d] != want:
+                    raise BadDartDirection(f"{kind} {vid}: dart {dart_ids[d]} must be {want}")
+        prev = ring[-1]
+        for d in ring:
+            succ[prev] = d
+            prev = d
 
     if not isinstance(pairing_in, list):
         raise MalformedFlow('"pairing" must be a list of dart pairs')
-    pairing: dict = {}
-    for pair in pairing_in:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise MalformedFlow(f"bad pairing entry {pair!r}")
-        a, b = pair
+    pair = [-1] * len(dart_ids)
+    for entry in pairing_in:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise MalformedFlow(f"bad pairing entry {entry!r}")
+        a, b = entry
         if not isinstance(a, str) or not isinstance(b, str):
-            raise MalformedFlow(f"bad pairing entry {pair!r}")
-        if a not in dart_dir or b not in dart_dir:
-            raise BadPairing(f"pairing references unknown dart in {pair!r}")
-        if a == b:
+            raise MalformedFlow(f"bad pairing entry {entry!r}")
+        d, e = dart_num.get(a, -1), dart_num.get(b, -1)
+        if d < 0 or e < 0:
+            raise BadPairing(f"pairing references unknown dart in {entry!r}")
+        if d == e:
             raise BadPairing(f"dart {a} paired with itself")
-        if a in pairing or b in pairing:
-            raise BadPairing(f"dart appears in two pairs: {pair!r}")
-        if dart_dir[a] == dart_dir[b]:
+        if pair[d] >= 0 or pair[e] >= 0:
+            raise BadPairing(f"dart appears in two pairs: {entry!r}")
+        if directions[d] == directions[e]:
             raise BadPairing(f"pair ({a}, {b}) must join an out dart to an in dart")
-        if kinds[dart_vertex[a]] != SADDLE and kinds[dart_vertex[b]] != SADDLE:
+        if kind_of[dart_vertex[d]] != SADDLE and kind_of[dart_vertex[e]] != SADDLE:
             raise BadPairing(f"pair ({a}, {b}) joins two extrema; separatrices end at saddles")
-        pairing[a] = b
-        pairing[b] = a
-    if len(pairing) != len(dart_dir):  # pairing's keys are a subset of dart_dir
-        raise BadPairing(f"unpaired darts: {sorted(set(dart_dir) - set(pairing))}")
+        pair[d] = e
+        pair[e] = d
+    if -1 in pair:
+        raise BadPairing(f"unpaired darts: {[x for x, e in zip(dart_ids, pair) if e < 0]}")
 
-    flow = _intern(False, kinds, rotation, dart_dir, pairing)
+    pair = tuple(pair)
+    _check_connected(vertex_ids, rings, dart_vertex, pair, next(iter(kinds), None))
+    walks, coherent = _face_walks(succ, pair, directions)
+    chi = len(vertex_ids) - len(pair) // 2 + len(walks)
+    if chi % 2 != 0 or chi > 2:
+        raise NonOrientableOrCorrupt(f"derived Euler characteristic {chi}")
+    flow = FlowGraph(False, vertex_ids, kind_of, tuple(rings), dart_ids, tuple(dart_vertex),
+                     tuple(succ), pair, directions, walks, chi, coherent)
     _check_genus_hint(description, flow)
     return flow
-
-
-def _intern(special: bool, kinds: dict, rotation: dict, dart_dir: dict,
-            pairing: dict) -> FlowGraph:
-    """Number a validated map in sorted-id order, then check connectivity
-    and trace its faces (raises Disconnected or NonOrientableOrCorrupt)."""
-    # Tuples are made from lists, not generators: CPython grows a tuple made
-    # from a generator in place, so it never reuses the per-size tuple free
-    # list that it is returned to, and that list would only fill.
-    vertex_ids = tuple(sorted(kinds))
-    dart_ids = tuple(sorted(dart_dir))
-    dart_num = dict(zip(dart_ids, range(len(dart_ids))))
-    dart_vertex = [0] * len(dart_ids)
-    succ = [0] * len(dart_ids)
-    rings = []
-    for v, vid in enumerate(vertex_ids):
-        ring = [dart_num[d] for d in rotation.get(vid, ())]
-        prev = ring[-1] if ring else 0
-        for d in ring:
-            dart_vertex[d] = v
-            succ[prev] = d
-            prev = d
-        rings.append(tuple(ring))
-    pair = tuple([dart_num[pairing[d]] for d in dart_ids])
-    directions = tuple([dart_dir[d] for d in dart_ids])
-    if special:
-        walks, chi, coherent = ((), ()), 2, True
-    else:
-        _check_connected(vertex_ids, rings, dart_vertex, pair, next(iter(kinds), None))
-        walks, coherent = _face_walks(succ, pair, directions)
-        chi = len(vertex_ids) - len(pair) // 2 + len(walks)
-        if chi % 2 != 0 or chi > 2:
-            raise NonOrientableOrCorrupt(f"derived Euler characteristic {chi}")
-    return FlowGraph(special, vertex_ids, tuple([kinds[v] for v in vertex_ids]), tuple(rings),
-                     dart_ids, tuple(dart_vertex), tuple(succ), pair, directions,
-                     walks, chi, coherent)
 
 
 def _check_connected(vertex_ids, rings, dart_vertex, pair, first):
@@ -357,7 +349,7 @@ def faces(flow: FlowGraph) -> list[tuple[str, ...]]:
     walks, the two hemispheres.
     """
     ids = flow.dart_ids
-    return [tuple([ids[d] for d in walk]) for walk in flow.face_walks]  # lists: see _intern
+    return [tuple([ids[d] for d in walk]) for walk in flow.face_walks]  # lists: see build
 
 
 def euler_characteristic(flow: FlowGraph) -> int:

@@ -42,7 +42,7 @@ class SingularityClass(Enum):
 
 _SIGNS = ("+", "-")
 
-_LABEL_RE = re.compile(r"^([A-Za-z])(\d+)(?::([+-])(?:,([+-]))?)?$")
+_LABEL_RE = re.compile(r"([A-Za-z])([0-9]+)(?::([+-])(?:,([+-]))?)?")
 
 
 class AdeLabel(namedtuple("AdeLabel", "family mu sign1 sign2")):
@@ -92,7 +92,7 @@ def parse_label(text: str) -> AdeLabel:
 
     "A1:-,+" and "A1:-,-" are accepted as aliases of the Morse saddle "A1:-".
     """
-    m = _LABEL_RE.match(text)
+    m = _LABEL_RE.fullmatch(text)
     if m is None:
         raise MalformedLabel(f"cannot parse label {text!r}")
     family, digits, sign1, sign2 = m.groups()

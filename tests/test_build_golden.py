@@ -11,6 +11,8 @@ reaches: a connected map has V - E + F = 2 - 2g.
 Re-record after a deliberate change to build() or to the mutations with
 
     PYTHONPATH=src python tests/test_build_golden.py
+
+which also prints the digest of the built flows to pin in BUILT_SHA256.
 """
 import copy
 import hashlib
@@ -25,6 +27,7 @@ from conftest import FLOW_FIXTURES, fixture_path, load_description
 CASES = 1000
 SEED = 10
 GOLDEN = fixture_path("build_golden")
+BUILT_SHA256 = "7405d874779a32eb4552da7abb895d5b0062d67852ee13bbdb921c38092dd290"
 _VALUES = [None, True, False, -1, 0, 1, 2, 0.5, "", "zz", "out", "in",
            "source", "sink", "saddle", [], {}]
 
@@ -201,6 +204,21 @@ def outcome(desc):
     return "ok"
 
 
+def built_lines() -> list:
+    """repr of each flow that a case builds, then of each fixture and its
+    reverse."""
+    lines = []
+    for _, desc in cases():
+        try:
+            lines.append(repr(flowgraph.build(desc)))
+        except flowgraph.FlowError:
+            pass
+    for name in FLOW_FIXTURES:
+        flow = flowgraph.build(load_description(name))
+        lines += [repr(flow), repr(flowgraph.reverse(flow))]
+    return lines
+
+
 def test_build_outcomes_match_golden():
     golden = json.loads(GOLDEN.read_text())
     got = [[digest, outcome(desc)] for digest, desc in cases()]
@@ -220,7 +238,16 @@ def test_build_golden_covers_every_reachable_error():
     assert sum(1 for _, out in golden if out == "ok") >= 100
 
 
+def test_built_flows_match_digest():
+    lines = built_lines()
+    assert len(lines) == 124
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BUILT_SHA256
+
+
 if __name__ == "__main__":
     rows = [json.dumps([digest, outcome(desc)]) for digest, desc in cases()]
     GOLDEN.write_text("[\n" + ",\n".join(rows) + "\n]\n")
     print(f"wrote {len(rows)} outcomes to {GOLDEN}")
+    lines = built_lines()
+    built = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print(f"{len(lines)} built flows, BUILT_SHA256 = {built!r}")

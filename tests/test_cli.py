@@ -2,14 +2,15 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FLOW_FIXTURES, PROFILE_FIXTURES, fixture_path, load_description
-from morseflow import cli
+from conftest import FLOW_FIXTURES, PROFILE_FIXTURES, fixture_path, load_description, load_flow
+from morseflow import cli, equiv
 from test_flowgraph import DESCRIPTION_KEYS, json_values, mutate
 
 def run_cli(*args):
@@ -178,6 +179,35 @@ def test_export_dot(polar):
     assert result.stdout.startswith("digraph flow {")
     assert '"S" -> "Z";' in result.stdout
     assert '"Z" [shape=diamond];' in result.stdout
+
+
+_DOT_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+
+
+def test_export_dot_escapes_ids(tmp_path):
+    """Ids holding quotes and backslashes stay one quoted DOT id each, and
+    unescaping gives back every vertex and edge."""
+    flow = load_flow("sphere1")
+    names = {"S": "S\\", "K1": 'K1\\"', "K2": "K2", "Z": 'Z" ]; evil [label="x'}
+    flow = equiv.relabel(flow, names, {d: d for d in flow.dart_ids})
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(flow.to_description()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["export-dot", str(path)]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "digraph flow {" and lines[-1] == "}"
+    node = re.compile(rf"  {_DOT_QUOTED} \[shape=(?:circle|doublecircle|diamond)\];")
+    edge = re.compile(rf"  {_DOT_QUOTED} -> {_DOT_QUOTED};")
+    nodes, edges = [], []
+    for line in lines[1:-1]:
+        m = node.fullmatch(line) or edge.fullmatch(line)
+        assert m, line
+        ids = tuple(re.sub(r"\\(.)", r"\1", g) for g in m.groups())
+        (nodes if m.re is node else edges).append(ids)
+    assert nodes == [(v,) for v in flow.vertex_ids]
+    assert sorted(names.values()) == list(flow.vertex_ids)
+    assert edges == flow.edges()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -48,6 +48,9 @@ def test_parse_a1_minus_aliases():
     ("", MalformedLabel),
     ("A", MalformedLabel),
     ("A3:+,?", MalformedLabel),
+    ("A1:-\n", MalformedLabel),
+    ("A\u0661:-", MalformedLabel),
+    ("A\uff13:+,-", MalformedLabel),
     ("Q3:+", InvalidFamilyIndex),
     ("A0:+,+", InvalidFamilyIndex),
     ("D3:+", InvalidFamilyIndex),
