@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .singularity import FunctionProfile, check_profile_consistency, profile_counts
+from .singularity import FunctionProfile, ProfileCounts, _violations, profile_counts
 
 
 class InvalidEulerCharacteristic(ValueError):
@@ -56,28 +56,27 @@ def normalized_classifying_dim(profile: FunctionProfile) -> int:
     return report(profile).normalized_classifying_dim
 
 
-def _check_morse(profile: FunctionProfile) -> None:
-    """Guard of the Morse-only dimensions: a Morse profile with both
-    extremum types."""
+def _morse_report(profile: FunctionProfile) -> DimensionReport:
+    """The report of a Morse profile with both extremum types, the guard of
+    the Morse-only dimensions."""
     counts = profile_counts(profile)
     if not profile.is_morse():
         raise NonMorseProfile(f"profile contains degenerate labels: {profile.to_json()['labels']}")
     if counts.minima < 1 or counts.maxima < 1:
         raise ValueError("Morse profile must have at least one minimum and one maximum")
+    return _report(profile, counts)
 
 
 def flow_orbit_space_dim(profile: FunctionProfile) -> int:
     """Dimension of the orbit space of gradient-like flows with enumerated
     extrema: twice the saddle count.  Morse profiles only."""
-    _check_morse(profile)
-    return report(profile).orbit_space_dim
+    return _morse_report(profile).orbit_space_dim
 
 
 def orbit_fibration_dim(profile: FunctionProfile) -> int:
     """Dimension of the fibration by isotopy orbits on the normalized
     classifying manifold: saddles + 2s - 1.  Morse profiles only."""
-    _check_morse(profile)
-    return report(profile).orbit_fibration_dim
+    return _morse_report(profile).orbit_fibration_dim
 
 
 def config_space_dim(chi: int) -> int:
@@ -128,7 +127,10 @@ def report(profile: FunctionProfile) -> DimensionReport:
     failed conditions are reported in violations); callers that require a
     realizable profile should inspect that field.
     """
-    c = profile_counts(profile)
+    return _report(profile, profile_counts(profile))
+
+
+def _report(profile: FunctionProfile, c: ProfileCounts) -> DimensionReport:
     chi = profile.euler_characteristic
     morse = profile.is_morse()
     s = num_marked_points(chi)
@@ -143,5 +145,5 @@ def report(profile: FunctionProfile) -> DimensionReport:
         config_space_dim=config_space_dim(chi),
         homotopy_type=orbit_homotopy_type(chi, c.saddles),
         formal_fields=() if morse else ("orbit_fibration_dim", "homotopy_type"),
-        violations=tuple(check_profile_consistency(profile)),
+        violations=tuple(_violations(profile, c)),
     )

@@ -5,11 +5,16 @@ candidate encoding: the 4k saddle darts are numbered so that saddle i owns
 darts 4i..4i+3 in rotation order with even darts pointing out, a partial
 matching pairs saddle out-darts to saddle in-darts (the saddle connections),
 and the leftover out/in darts are absorbed by sinks/sources encoded as
-permutations whose cycles are the extrema with their rotation orders.  The
-filters read one array `part` (the partner of a matched dart, the next dart of
-an extremum cycle) in this order: coherence on the reduced face trace, then
-connectivity.  Survivors are materialized through build(), which derives
-their genus and counts, then deduplicated by canonical code.
+permutations whose cycles are the extrema with their rotation orders.
+Coherence is derived, not tested: on the reduced map a saddle connection
+keeps a dart's parity and an extremum hop flips it, so a candidate is
+coherent iff each face has one sink hop and one source hop.  A matching whose
+connections close a face without an extremum has no coherent candidate; in
+every other matching each kept sink permutation fixes the one coherent source
+permutation.  Each candidate is one array `part` (the partner of a matched
+dart, the next dart of an extremum cycle), filtered by connectivity.
+Survivors are materialized through build(), which derives their genus and
+counts, then deduplicated by canonical code.
 
 The candidate space is pruned by the exact symmetry group of the encoding
 (saddle relabelings and half-turns of individual saddles).  The orbit test
@@ -170,13 +175,16 @@ def _symmetries(k: int) -> list[tuple[int, ...]]:
 
 
 def _matchings(k: int):
-    """All partial injective pairings of saddle out-darts to saddle in-darts."""
+    """All partial injective pairings of saddle out-darts to saddle in-darts,
+    each sorted: combinations yields the out-darts ascending."""
     outs = [d for d in range(4 * k) if d % 2 == 0]
     ins = [d for d in range(4 * k) if d % 2 == 1]
     for t in range(2 * k + 1):
         for osub in combinations(outs, t):
             for iimg in permutations(ins, t):
-                yield tuple(sorted(zip(osub, iimg)))
+                # tuple() of an iterator over-allocates and shrinks; the freed
+                # matchings would then pile up in the tuple free lists
+                yield tuple(list(zip(osub, iimg)))
 
 
 def _canonical_matchings(k: int):
@@ -235,36 +243,25 @@ def _connected(k: int, part: list) -> bool:
     return all(seen)
 
 
-def _coherent(n: int, part: list, is_ext: list) -> bool:
-    """Whether every face of the reduced map has exactly two sign runs,
-    counting the implicit extremum hop, which always flips the sign."""
-    seen = [False] * n
-    for d0 in range(n):
-        if seen[d0]:
-            continue
-        changes = 0
-        first = prev = not (d0 & 1)
-        d = d0
-        while True:
-            seen[d] = True
-            s = not (d & 1)
-            if d != d0 and s != prev:
-                changes += 1
-                if changes > 2:
-                    return False
-            prev = s
-            if is_ext[d]:
-                changes += 1
-                if changes > 2:
-                    return False
-                prev = not s
-            p = part[d]
-            d = (p & ~3) | ((p + 1) & 3)
-            if d == d0:
-                break
-        if changes + (prev != first) != 2:
-            return False
-    return True
+def _hop_ends(n: int, part: list) -> list | None:
+    """ends[x] for each unmatched dart x: the unmatched dart that a face of
+    the reduced map reaches after an extremum hop onto x, by saddle
+    connections from the rotation successor of x; -1 for matched darts.
+    None if a chain of connections closes without an extremum, that is, if
+    some matched dart lies on no chain from a hop.  A connection keeps a
+    dart's parity and a hop flips it, so ends maps sink-fed darts one to one
+    onto source-fed ones and back."""
+    ends = [-1] * n
+    walked = 0
+    for x in range(n):
+        if part[x] == x:
+            d = (x & ~3) | ((x + 1) & 3)
+            while part[d] != d:
+                walked += 1
+                p = part[d]
+                d = (p & ~3) | ((p + 1) & 3)
+            ends[x] = d
+    return ends if walked == ends.count(-1) else None
 
 
 def _cycles(part: list, darts: list) -> tuple:
@@ -339,28 +336,32 @@ def _generate(k: int):
         for a, b in matching:
             part[a] = b
             part[b] = a
-        is_ext = [part[d] == d for d in range(n)]
-        sink_fed = [d for d in range(0, n, 2) if is_ext[d]]
-        source_fed = [d for d in range(1, n, 2) if is_ext[d]]
-        src_variants = list(permutations(source_fed))
+        ends = _hop_ends(n, part)
+        if ends is None:
+            continue
+        sink_fed = [d for d in range(0, n, 2) if part[d] == d]
+        source_fed = [d for d in range(1, n, 2) if part[d] == d]
+        fed_by = [-1] * n
+        for y in source_fed:
+            fed_by[ends[y]] = y
 
         for snk_images in _sink_variants(sink_fed, stab):
+            # the one coherent source permutation: the face that hops from d
+            # to its sink must hop back through the source that leads to d
             for d, img in zip(sink_fed, snk_images):
                 part[d] = img
-            for src_images in src_variants:
-                for d, img in zip(source_fed, src_images):
-                    part[d] = img
-                if not (_coherent(n, part, is_ext) and _connected(k, part)):
-                    continue
-                flow = build(_materialize(k, matching, _cycles(part, source_fed),
-                                          _cycles(part, sink_fed)))
-                # the reduced trace must agree with build()'s own trace
-                if not (face_coherence_check(flow) and flowgraph.poincare_hopf_check(flow)):
-                    raise AssertionError(matching)
-                code = canonical_code(flow)
-                if code.code not in seen_codes:
-                    seen_codes.add(code.code)
-                    records.append(_record(flow, code))
+                part[ends[img]] = fed_by[d]
+            if not _connected(k, part):
+                continue
+            flow = build(_materialize(k, matching, _cycles(part, source_fed),
+                                      _cycles(part, sink_fed)))
+            # the derivation must agree with build()'s own face trace
+            if not (face_coherence_check(flow) and flowgraph.poincare_hopf_check(flow)):
+                raise AssertionError(matching)
+            code = canonical_code(flow)
+            if code.code not in seen_codes:
+                seen_codes.add(code.code)
+                records.append(_record(flow, code))
 
     records.sort(key=lambda r: r.code.code)
     yield from records

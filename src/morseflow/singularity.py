@@ -238,7 +238,10 @@ def check_profile_consistency(profile: FunctionProfile) -> list[str]:
     (a) a smooth function on a closed surface attains a minimum and a
     maximum; (b) gradient indices must sum to the Euler characteristic.
     """
-    counts = profile_counts(profile)
+    return _violations(profile, profile_counts(profile))
+
+
+def _violations(profile: FunctionProfile, counts: ProfileCounts) -> list[str]:
     violations = []
     if counts.minima < 1:
         violations.append("profile has no local minimum")

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from morseflow import dims, singularity
 from morseflow.dims import (
     HomotopyType,
     InvalidEulerCharacteristic,
@@ -128,6 +129,25 @@ def test_report_degenerate():
     assert r.homotopy_type is HomotopyType.SPHERE
     assert set(r.formal_fields) == {"orbit_fibration_dim", "homotopy_type"}
     assert any("index sum" in v for v in r.violations)
+
+
+@pytest.mark.parametrize("function", [report, classifying_dim, normalized_classifying_dim,
+                                      flow_orbit_space_dim, orbit_fibration_dim])
+def test_profile_counted_once_per_call(function, monkeypatch):
+    calls = []
+    real = singularity.profile_counts
+
+    def counting(profile):
+        calls.append(1)
+        return real(profile)
+
+    monkeypatch.setattr(singularity, "profile_counts", counting)
+    monkeypatch.setattr(dims, "profile_counts", counting)
+    function(GENUS2)
+    assert len(calls) == 1
+    calls.clear()
+    check_profile_consistency(GENUS2)
+    assert len(calls) == 1
 
 
 def test_report_json_shape():

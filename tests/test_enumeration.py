@@ -17,9 +17,9 @@ from morseflow.enumeration import (
     EnumSpec,
     SpecOutOfBounds,
     _canonical_matchings,
-    _coherent,
     _connected,
     _cyclic_set_partitions,
+    _hop_ends,
     _matchings,
     _sink_variants,
     _symmetries,
@@ -101,6 +101,84 @@ def test_canonical_matchings_match_the_oracle(k):
     assert list(_canonical_matchings(k)) == _oracle_canonical_matchings(k)
 
 
+def _coherent(n: int, part: list, is_ext: list) -> bool:
+    """Whether every face of the reduced map has exactly two sign runs,
+    counting the implicit extremum hop, which always flips the sign."""
+    seen = [False] * n
+    for d0 in range(n):
+        if seen[d0]:
+            continue
+        changes = 0
+        first = prev = not (d0 & 1)
+        d = d0
+        while True:
+            seen[d] = True
+            s = not (d & 1)
+            if d != d0 and s != prev:
+                changes += 1
+                if changes > 2:
+                    return False
+            prev = s
+            if is_ext[d]:
+                changes += 1
+                if changes > 2:
+                    return False
+                prev = not s
+            p = part[d]
+            d = (p & ~3) | ((p + 1) & 3)
+            if d == d0:
+                break
+        if changes + (prev != first) != 2:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k, canonical, live, derived, connected",
+                         [(1, 5, 1, 2, 2), (2, 39, 5, 19, 16), (3, 372, 30, 290, 254)])
+def test_derived_source_permutation_matches_the_oracle(k, canonical, live, derived, connected):
+    """For every canonical matching and every kept sink permutation sigma, the
+    source permutations that pass the reference face trace _coherent are
+    exactly the one the generator derives, tau(ends[sigma(d)]) = the
+    source-fed y with ends[y] = d, or none when _hop_ends finds a chain of
+    connections without an extremum.  Counts: canonical matchings, live
+    matchings, derived candidates, connected candidates."""
+    n = 4 * k
+    counts = [0, 0, 0, 0]
+    for matching, stab in _canonical_matchings(k):
+        counts[0] += 1
+        part = list(range(n))
+        for a, b in matching:
+            part[a], part[b] = b, a
+        is_ext = [part[d] == d for d in range(n)]
+        sink_fed = [d for d in range(0, n, 2) if is_ext[d]]
+        source_fed = [d for d in range(1, n, 2) if is_ext[d]]
+        ends = _hop_ends(n, part)
+        if ends is not None:
+            counts[1] += 1
+            assert sorted(ends[x] for x in sink_fed) == source_fed
+            assert sorted(ends[y] for y in source_fed) == sink_fed
+        for snk_images in _sink_variants(sink_fed, stab):
+            for d, img in zip(sink_fed, snk_images):
+                part[d] = img
+            passing = []
+            for src_images in permutations(source_fed):
+                for d, img in zip(source_fed, src_images):
+                    part[d] = img
+                if _coherent(n, part, is_ext):
+                    passing.append(src_images)
+            if ends is None:
+                assert passing == []
+                continue
+            tau = {ends[img]: y for d, img in zip(sink_fed, snk_images)
+                   for y in source_fed if ends[y] == d}
+            assert passing == [tuple(tau[y] for y in source_fed)]
+            counts[2] += 1
+            for y in source_fed:
+                part[y] = tau[y]
+            counts[3] += _connected(k, part)
+    assert counts == [canonical, live, derived, connected]
+
+
 @pytest.mark.parametrize("k, matchings, candidates", [(1, 7, 2), (2, 209, 100), (3, 13327, 11344)])
 def test_orbit_counting_identities(k, matchings, candidates):
     """Mass-formula check of the pruned generator (Walsh & Lehman 1972).
@@ -113,7 +191,8 @@ def test_orbit_counting_identities(k, matchings, candidates):
     candidates of the unpruned encoding, obtained from the kept (M, sigma)
     weighted by |G|/|C(sigma)|.  (a) and (a') catch a wrong orbit test or a
     lost representative; (b) catches a code collision or a missed duplicate.
-    The face and connectivity filters are shared with the generator; they are
+    The face filter is the reference trace _coherent, which the generator no
+    longer runs; the connectivity filter is shared with the generator and is
     covered by the naive cross-check at k <= 2.
     """
     group = _symmetries(k)
