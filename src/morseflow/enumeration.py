@@ -9,19 +9,21 @@ permutations whose cycles are the extrema with their rotation orders.
 Coherence is derived, not tested: on the reduced map a saddle connection
 keeps a dart's parity and an extremum hop flips it, so a candidate is
 coherent iff each face has one sink hop and one source hop.  A matching whose
-connections close a face without an extremum has no coherent candidate; in
-every other matching each kept sink permutation fixes the one coherent source
-permutation.  Each candidate is one array `part` (the partner of a matched
-dart, the next dart of an extremum cycle), filtered by connectivity.
-Survivors are materialized through build(), which derives their genus and
-counts, then deduplicated by canonical code.
+connections close a face without an extremum has no coherent candidate, so
+matchings are generated depth first and a branch stops at the first pair that
+closes such a chain; in every live matching each kept sink permutation fixes
+the one coherent source permutation.  Each candidate is one array `part` (the
+partner of a matched dart, the next dart of an extremum cycle), filtered by
+connectivity.  Survivors are materialized through build(), which derives
+their genus and counts, then deduplicated by canonical code.
 
 The candidate space is pruned by the exact symmetry group of the encoding
-(saddle relabelings and half-turns of individual saddles).  The orbit test
-keeps a matching only if no symmetry maps it to a smaller one: pairs are
-coded as integers in pair order, each symmetry is a table of pair images, and
-one walk over the group per matching either stops at the first smaller image
-or collects the stabilizer, which then prunes the sink permutations.  A naive
+(saddle relabelings and half-turns of individual saddles), which keeps
+liveness, so the orbit test runs on live matchings only.  It keeps a
+matching only if no symmetry maps it to a smaller one: pairs are coded as
+integers in pair order, each symmetry is a table of pair images, and one walk
+over the group per matching either stops at the first smaller image or
+collects the stabilizer, which then prunes the sink permutations.  A naive
 generator without any pruning, driven through the public build/validation
 pipeline, cross-checks the class sets at desk scale.
 """
@@ -187,9 +189,45 @@ def _matchings(k: int):
                 yield tuple(list(zip(osub, iimg)))
 
 
+def _live_matchings(k: int):
+    """The sorted matchings in which no chain of saddle connections closes
+    without an extremum.  A chain follows d -> rotation successor of
+    part[d], a one-to-one map, so a closed chain is a cycle of matched darts.
+    Out-darts are matched in ascending order and a branch stops at the first
+    pair that closes one: later pairs never reopen it, and it runs through
+    the new out-dart or the new in-dart."""
+    n = 4 * k
+    part = list(range(n))
+
+    def closes(d):
+        x = d
+        while True:
+            p = part[x]
+            x = (p & ~3) | ((p + 1) & 3)
+            if x == d or part[x] == x:
+                return x == d
+
+    def extend(a, pairs):
+        if a == n:
+            yield pairs
+            return
+        yield from extend(a + 2, pairs)
+        for b in range(1, n, 2):
+            if part[b] == b:
+                part[a], part[b] = b, a
+                if not (closes(a) or closes(b)):
+                    yield from extend(a + 2, pairs + ((a, b),))
+                part[a], part[b] = a, b
+
+    return extend(0, ())
+
+
 def _canonical_matchings(k: int):
-    """The matchings that are least in their orbit under the encoding group,
-    each as (matching, stab) with its stabilizer in group order.
+    """The live matchings that are least in their orbit under the encoding
+    group, each as (matching, stab) with its stabilizer in group order.
+    Every symmetry keeps rotation order and dart directions, so it maps
+    live matchings to live ones, and least among the live matchings of an
+    orbit is least among all of them.
 
     A pair (a, b) is coded a * 4k + b, which keeps the order of pairs, so a
     matching is its ascending list of codes and each symmetry is one table of
@@ -199,7 +237,7 @@ def _canonical_matchings(k: int):
     n = 4 * k
     group = _symmetries(k)
     tables = [[g[a] * n + g[b] for a in range(n) for b in range(n)] for g in group]
-    for matching in _matchings(k):
+    for matching in _live_matchings(k):
         codes = [a * n + b for a, b in matching]  # ascending: matchings are sorted
         stab = []
         for g, table in zip(group, tables):
@@ -337,8 +375,9 @@ def _generate(k: int):
             part[a] = b
             part[b] = a
         ends = _hop_ends(n, part)
+        # _live_matchings lets no closed chain through
         if ends is None:
-            continue
+            raise AssertionError(matching)
         sink_fed = [d for d in range(0, n, 2) if part[d] == d]
         source_fed = [d for d in range(1, n, 2) if part[d] == d]
         fed_by = [-1] * n

@@ -20,6 +20,7 @@ from morseflow.enumeration import (
     _connected,
     _cyclic_set_partitions,
     _hop_ends,
+    _live_matchings,
     _matchings,
     _sink_variants,
     _symmetries,
@@ -96,9 +97,41 @@ def _oracle_canonical_matchings(k):
             if not any(_apply_to_matching(g, matching) < matching for g in group)]
 
 
+def _live(k: int, matching: tuple) -> bool:
+    part = list(range(4 * k))
+    for a, b in matching:
+        part[a], part[b] = b, a
+    return _hop_ends(4 * k, part) is not None
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_canonical_matchings_match_the_oracle(k):
-    assert list(_canonical_matchings(k)) == _oracle_canonical_matchings(k)
+    """The generator's orbit test sees only live matchings; the oracle walks
+    the whole group over every matching and is filtered afterwards."""
+    assert sorted(_canonical_matchings(k)) == sorted(
+        (matching, stab) for matching, stab in _oracle_canonical_matchings(k)
+        if _live(k, matching))
+
+
+@pytest.mark.parametrize("k, live", [(1, 1), (2, 29), (3, 1213)])
+def test_live_matchings_are_the_matchings_with_hop_ends(k, live):
+    """The pruned generator yields each live matching once, sorted, and no
+    matching in which a chain of connections closes without an extremum."""
+    generated = list(_live_matchings(k))
+    assert len(generated) == len(set(generated)) == live
+    assert all(list(m) == sorted(m) for m in generated)
+    assert set(generated) == {m for m in _matchings(k) if _live(k, m)}
+
+
+def test_liveness_is_constant_on_orbits():
+    """Every symmetry of the encoding keeps liveness, so filtering live
+    matchings before the orbit test keeps exactly the live canonical ones."""
+    group = _symmetries(3)
+    oracle = _oracle_canonical_matchings(3)
+    assert len(oracle) == 372
+    for matching, _ in oracle:
+        live = _live(3, matching)
+        assert all(_live(3, _apply_to_matching(g, matching)) is live for g in group)
 
 
 def _coherent(n: int, part: list, is_ext: list) -> bool:
@@ -136,15 +169,16 @@ def _coherent(n: int, part: list, is_ext: list) -> bool:
 @pytest.mark.parametrize("k, canonical, live, derived, connected",
                          [(1, 5, 1, 2, 2), (2, 39, 5, 19, 16), (3, 372, 30, 290, 254)])
 def test_derived_source_permutation_matches_the_oracle(k, canonical, live, derived, connected):
-    """For every canonical matching and every kept sink permutation sigma, the
-    source permutations that pass the reference face trace _coherent are
-    exactly the one the generator derives, tau(ends[sigma(d)]) = the
-    source-fed y with ends[y] = d, or none when _hop_ends finds a chain of
-    connections without an extremum.  Counts: canonical matchings, live
-    matchings, derived candidates, connected candidates."""
+    """For every canonical matching of the oracle, dead ones included, and
+    every kept sink permutation sigma, the source permutations that pass the
+    reference face trace _coherent are exactly the one the generator derives,
+    tau(ends[sigma(d)]) = the source-fed y with ends[y] = d, or none when
+    _hop_ends finds a chain of connections without an extremum.  Counts:
+    canonical matchings, live matchings, derived candidates, connected
+    candidates."""
     n = 4 * k
     counts = [0, 0, 0, 0]
-    for matching, stab in _canonical_matchings(k):
+    for matching, stab in _oracle_canonical_matchings(k):
         counts[0] += 1
         part = list(range(n))
         for a, b in matching:
