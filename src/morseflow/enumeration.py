@@ -8,24 +8,20 @@ and the leftover out/in darts are absorbed by sinks/sources encoded as
 permutations whose cycles are the extrema with their rotation orders.
 Coherence is derived, not tested: on the reduced map a saddle connection
 keeps a dart's parity and an extremum hop flips it, so a candidate is
-coherent iff each face has one sink hop and one source hop.  A matching whose
-connections close a face without an extremum has no coherent candidate, so
-matchings are generated depth first and a branch stops at the first pair that
-closes such a chain; in every live matching each kept sink permutation fixes
-the one coherent source permutation.  Each candidate is one array `part` (the
-partner of a matched dart, the next dart of an extremum cycle), filtered by
-connectivity.  Survivors are materialized through build(), which derives
-their genus and counts, then deduplicated by canonical code.
+coherent iff each face has one sink hop and one source hop.
 
-The candidate space is pruned by the exact symmetry group of the encoding
-(saddle relabelings and half-turns of individual saddles), which keeps
-liveness, so the orbit test runs on live matchings only.  It keeps a
-matching only if no symmetry maps it to a smaller one: pairs are coded as
-integers in pair order, each symmetry is a table of pair images, and one walk
-over the group per matching either stops at the first smaller image or
-collects the stabilizer, which then prunes the sink permutations.  A naive
-generator without any pruning, driven through the public build/validation
-pipeline, cross-checks the class sets at desk scale.
+One depth-first search yields the matchings that are live (no chain of
+connections closes without an extremum, which leaves no coherent candidate)
+and least in their orbit under the exact symmetry group of the encoding
+(saddle relabelings and half-turns of individual saddles), with their
+stabilizers.  The stabilizer prunes the sink permutations, and each kept one
+fixes the one coherent source permutation.  Each candidate is one array
+`part` (the partner of a matched dart, the next dart of an extremum cycle),
+filtered by connectivity and materialized through build(), which derives its
+genus and counts.  Every candidate is a distinct class: a repeated canonical
+code is an AssertionError, not a duplicate to drop.  A naive generator
+without any pruning, driven through the public build/validation pipeline,
+cross-checks the class sets at desk scale.
 """
 from __future__ import annotations
 
@@ -189,15 +185,24 @@ def _matchings(k: int):
                 yield tuple(list(zip(osub, iimg)))
 
 
-def _live_matchings(k: int):
-    """The sorted matchings in which no chain of saddle connections closes
-    without an extremum.  A chain follows d -> rotation successor of
-    part[d], a one-to-one map, so a closed chain is a cycle of matched darts.
-    Out-darts are matched in ascending order and a branch stops at the first
-    pair that closes one: later pairs never reopen it, and it runs through
-    the new out-dart or the new in-dart."""
+def _canonical_matchings(k: int):
+    """The live matchings least in their orbit under the encoding group,
+    each as (matching, stab) with its stabilizer in group order.
+
+    One depth-first search matches out-darts in ascending order and drops a
+    branch at the first pair that fails a test.  Live: a chain follows
+    d -> rotation successor of part[d], a one-to-one map, so a chain closed
+    without an extremum is a cycle of matched darts, through a or b if the
+    pair (a, b) closed it.  Least: a pair is coded a * 4k + b, which keeps
+    pair order, and no symmetry's table of pair images maps the codes to a
+    smaller sorted list.  Symmetries keep both properties, and both survive
+    the removal of the largest pair (Read 1978), so no dropped branch holds
+    a kept matching."""
     n = 4 * k
+    group = _symmetries(k)
+    tables = [[g[a] * n + g[b] for a in range(n) for b in range(n)] for g in group]
     part = list(range(n))
+    codes = []
 
     def closes(d):
         x = d
@@ -207,47 +212,25 @@ def _live_matchings(k: int):
             if x == d or part[x] == x:
                 return x == d
 
+    def least():
+        return all(sorted(map(table.__getitem__, codes)) >= codes for table in tables)
+
     def extend(a, pairs):
         if a == n:
-            yield pairs
+            yield pairs, [g for g, table in zip(group, tables)
+                          if sorted(map(table.__getitem__, codes)) == codes]
             return
         yield from extend(a + 2, pairs)
         for b in range(1, n, 2):
             if part[b] == b:
                 part[a], part[b] = b, a
-                if not (closes(a) or closes(b)):
+                codes.append(a * n + b)
+                if not (closes(a) or closes(b)) and least():
                     yield from extend(a + 2, pairs + ((a, b),))
+                codes.pop()
                 part[a], part[b] = a, b
 
     return extend(0, ())
-
-
-def _canonical_matchings(k: int):
-    """The live matchings that are least in their orbit under the encoding
-    group, each as (matching, stab) with its stabilizer in group order.
-    Every symmetry keeps rotation order and dart directions, so it maps
-    live matchings to live ones, and least among the live matchings of an
-    orbit is least among all of them.
-
-    A pair (a, b) is coded a * 4k + b, which keeps the order of pairs, so a
-    matching is its ascending list of codes and each symmetry is one table of
-    the (4k)^2 pair images.  The group is walked once per matching: the
-    first image smaller than the matching rejects it, and images equal to it
-    collect the stabilizer."""
-    n = 4 * k
-    group = _symmetries(k)
-    tables = [[g[a] * n + g[b] for a in range(n) for b in range(n)] for g in group]
-    for matching in _live_matchings(k):
-        codes = [a * n + b for a, b in matching]  # ascending: matchings are sorted
-        stab = []
-        for g, table in zip(group, tables):
-            image = sorted(map(table.__getitem__, codes))
-            if image < codes:
-                break
-            if image == codes:
-                stab.append(g)
-        else:
-            yield matching, stab
 
 
 def _sink_variants(darts: list, stab: list) -> list:
@@ -365,7 +348,6 @@ def _generate(k: int):
         return
 
     n = 4 * k
-    seen_codes = set()
     records = []
 
     for matching, stab in _canonical_matchings(k):
@@ -375,7 +357,7 @@ def _generate(k: int):
             part[a] = b
             part[b] = a
         ends = _hop_ends(n, part)
-        # _live_matchings lets no closed chain through
+        # the search lets no closed chain through
         if ends is None:
             raise AssertionError(matching)
         sink_fed = [d for d in range(0, n, 2) if part[d] == d]
@@ -397,12 +379,14 @@ def _generate(k: int):
             # the derivation must agree with build()'s own face trace
             if not (face_coherence_check(flow) and flowgraph.poincare_hopf_check(flow)):
                 raise AssertionError(matching)
-            code = canonical_code(flow)
-            if code.code not in seen_codes:
-                seen_codes.add(code.code)
-                records.append(_record(flow, code))
+            records.append(_record(flow, canonical_code(flow)))
 
     records.sort(key=lambda r: r.code.code)
+    # equivalent flows have matchings in one orbit, and equal sink
+    # permutations up to the stabilizer, so a class is built once
+    for r, nxt in zip(records, records[1:]):
+        if r.code.code == nxt.code.code:
+            raise AssertionError(r.code.as_string())
     yield from records
 
 

@@ -20,7 +20,6 @@ from morseflow.enumeration import (
     _connected,
     _cyclic_set_partitions,
     _hop_ends,
-    _live_matchings,
     _matchings,
     _sink_variants,
     _symmetries,
@@ -115,12 +114,35 @@ def test_canonical_matchings_match_the_oracle(k):
 
 @pytest.mark.parametrize("k, live", [(1, 1), (2, 29), (3, 1213)])
 def test_live_matchings_are_the_matchings_with_hop_ends(k, live):
-    """The pruned generator yields each live matching once, sorted, and no
-    matching in which a chain of connections closes without an extremum."""
-    generated = list(_live_matchings(k))
-    assert len(generated) == len(set(generated)) == live
-    assert all(list(m) == sorted(m) for m in generated)
-    assert set(generated) == {m for m in _matchings(k) if _live(k, m)}
+    """Every kept matching is sorted and has no chain of connections that
+    closes without an extremum, and the kept matchings weighted by orbit size
+    |G|/|Stab M| count the live matchings: each live orbit appears once."""
+    group = _symmetries(k)
+    kept = list(_canonical_matchings(k))
+    assert all(list(m) == sorted(m) and _live(k, m) for m, _ in kept)
+    assert sum(len(group) // len(stab) for _, stab in kept) == live
+    assert live == sum(1 for m in _matchings(k) if _live(k, m))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_prefix_of_a_kept_matching_is_least(k):
+    """The search drops a branch at its first prefix that is not least in its
+    orbit, which loses no kept matching only if every prefix of a kept
+    matching is least (Read 1978)."""
+    group = _symmetries(k)
+    for matching, _ in _canonical_matchings(k):
+        for t in range(len(matching) + 1):
+            prefix = matching[:t]
+            assert all(_apply_to_matching(g, prefix) >= prefix for g in group)
+
+
+def test_canonical_matchings_at_four_saddles():
+    """At k = 4, beyond the cap, the 328 kept matchings weighted by orbit
+    size count the 115,609 live matchings that the filter of every live
+    matching through the orbit test counted."""
+    kept = list(_canonical_matchings(4))
+    assert len(kept) == 328
+    assert sum(384 // len(stab) for _, stab in kept) == 115609
 
 
 def test_liveness_is_constant_on_orbits():
@@ -429,9 +451,14 @@ def test_all_permutations_of_two_elements_reached():
 
 
 def test_reversal_closure_of_classes():
+    """The generator never reverses a flow, so this checks it independently:
+    the reverse of every class is a class with sources and sinks swapped,
+    the same genus and the same verdict."""
     from morseflow import reverse
 
-    for k in (1, 2):
-        codes = {r.code.code for r in enumerate_classes(k)}
+    for k in (0, 1, 2, 3):
+        by_code = {r.code.code: r for r in enumerate_classes(k)}
         for rec in enumerate_classes(k):
-            assert canonical_code(reverse(rec.flow)).code in codes
+            rev = by_code[canonical_code(reverse(rec.flow)).code]
+            assert (rev.sources, rev.sinks) == (rec.sinks, rec.sources)
+            assert (rev.genus, rev.gradient_like) == (rec.genus, rec.gradient_like)
