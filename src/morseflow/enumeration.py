@@ -25,6 +25,7 @@ cross-checks the class sets at desk scale.
 """
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -302,10 +303,11 @@ def _cycles(part: list, darts: list) -> tuple:
 
 
 def _materialize(k: int, matching: tuple, src_cycles: tuple, snk_cycles: tuple) -> dict:
+    # Ids are interned, so the records share one string per distinct id.
     def dart_name(d):
-        return f"z{d >> 2}.{d & 3}"
+        return sys.intern(f"z{d >> 2}.{d & 3}")
 
-    vertices = [{"id": f"z{i}", "kind": "saddle"} for i in range(k)]
+    vertices = [{"id": sys.intern(f"z{i}"), "kind": "saddle"} for i in range(k)]
     rotation = {f"z{i}": [dart_name(4 * i + j) for j in range(4)] for i in range(k)}
     dart_dir = {dart_name(d): ("out" if d % 2 == 0 else "in") for d in range(4 * k)}
     pairing = [[dart_name(a), dart_name(b)] for a, b in matching]
@@ -315,11 +317,11 @@ def _materialize(k: int, matching: tuple, src_cycles: tuple, snk_cycles: tuple) 
         ("q", "sink", "in", snk_cycles),
     ):
         for n, cyc in enumerate(sorted(cycles)):
-            vid = f"{prefix}{n}"
+            vid = sys.intern(f"{prefix}{n}")
             vertices.append({"id": vid, "kind": kind})
             ring = []
             for j, saddle_dart in enumerate(cyc):
-                did = f"{vid}.{j}"
+                did = sys.intern(f"{vid}.{j}")
                 ring.append(did)
                 dart_dir[did] = direction
                 pairing.append(sorted((did, dart_name(saddle_dart))))

@@ -41,20 +41,25 @@ class CanonicalCode(NamedTuple):
 def _traversal_code(start: int, succ, pair, labels) -> tuple[int, ...]:
     """Breadth-first dart discovery from start via rotation-successor and
     pairing moves; emits (kind, direction, successor index, partner index)
-    per dart in discovery order."""
+    per dart in discovery order.  A dart's index is fixed when it is first
+    seen, so each entry is emitted in the pass that discovers its
+    neighbours."""
     pos = [-1] * len(succ)
     pos[start] = 0
     order = [start]
-    for d in order:
-        for nb in (succ[d], pair[d]):
-            if pos[nb] < 0:
-                pos[nb] = len(order)
-                order.append(nb)
     out = []
     for d in order:
         out += labels[d]
-        out.append(pos[succ[d]])
-        out.append(pos[pair[d]])
+        s = succ[d]
+        if pos[s] < 0:
+            pos[s] = len(order)
+            order.append(s)
+        out.append(pos[s])
+        p = pair[d]
+        if pos[p] < 0:
+            pos[p] = len(order)
+            order.append(p)
+        out.append(pos[p])
     return tuple(out)
 
 

@@ -28,8 +28,9 @@ from morseflow.enumeration import (
     enumerate_flows,
     naive_enumerate_classes,
 )
-from morseflow.equiv import _KIND_CODE, _traversal_code
-from morseflow.flowgraph import OUT, genus, poincare_hopf_check
+from morseflow.flowgraph import genus, poincare_hopf_check
+
+from code_oracle import traversal_codes
 
 # {(genus, sources, sinks): (classes, gradient_like)}
 PINNED = {
@@ -75,11 +76,16 @@ def test_pinned_class_representatives():
     assert digest == "fb392c88a735de10987487c3768f5aefb76a583c517ae5a198e5158bf44b0a24"
 
 
+def test_records_share_one_string_per_id():
+    ids = [x for rec in enumerate_classes(3) for x in rec.flow.vertex_ids + rec.flow.dart_ids]
+    assert len(ids) > len(set(ids))
+    assert len({id(x) for x in ids}) == len(set(ids))
+
+
 def _aut_order(flow) -> int:
-    """|Aut| of a connected flow: the start darts whose traversal code is least."""
-    labels = [(_KIND_CODE[flow.kinds[v]], 0 if x == OUT else 1)
-              for v, x in zip(flow.dart_vertex, flow.dart_dir)]
-    codes = [_traversal_code(d, flow.succ, flow.pair, labels) for d in range(len(flow.succ))]
+    """|Aut| of a connected flow: the start darts whose oracle traversal code
+    is least."""
+    codes = traversal_codes(flow)
     return codes.count(min(codes))
 
 

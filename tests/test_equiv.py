@@ -1,14 +1,19 @@
 """Canonical codes: invariance, completeness, mirror quotient, relabeling."""
+import importlib.util
+import json
+import pathlib
 import random
+import sys
 
 import pytest
 
 from morseflow import build, canonical_code, equivalent, relabel, reverse
-from morseflow.enumeration import enumerate_classes
+from morseflow.enumeration import MAX_SADDLES, enumerate_classes
 from morseflow.equiv import CanonicalCode
 from morseflow.flowgraph import FlowError
 
-from conftest import FLOW_FIXTURES, load_flow
+from code_oracle import oracle_code
+from conftest import FIXTURES, FLOW_FIXTURES, load_flow
 
 
 def random_relabeling(flow, rng):
@@ -150,3 +155,33 @@ def test_code_string_and_hash_are_stable(sphere1):
     h = code.stable_hash()
     assert len(h) == 16 and int(h, 16) >= 0
     assert CanonicalCode(code.code, code.mirror_included).stable_hash() == h
+
+
+@pytest.fixture(scope="module")
+def large_flows():
+    """The flows of the benchmark's `large` workload at seed 7: 200-400
+    darts, grown from fixtures by saddle insertion."""
+    path = pathlib.Path(__file__).parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    # registered before it runs: its dataclasses look their module up by name
+    inputs = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    fixtures = {n: json.loads((FIXTURES / f"{n}.json").read_text())
+                for n in ("chain2", "torus", "cyclic")}
+    return [build(x.description) for x in inputs.large_inputs(fixtures, random.Random(7))]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_code_matches_the_oracle_on_classes_and_fixtures(mirror):
+    flows = [rec.flow for k in range(MAX_SADDLES + 1) for rec in enumerate_classes(k)]
+    flows += [load_flow(name) for name in FLOW_FIXTURES]
+    assert len(flows) == 273 + len(FLOW_FIXTURES)
+    for flow in flows:
+        assert canonical_code(flow, mirror).code == oracle_code(flow, mirror)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_code_matches_the_oracle_on_large_flows(mirror, large_flows):
+    assert len(large_flows) == 12
+    for flow in large_flows:
+        assert canonical_code(flow, mirror).code == oracle_code(flow, mirror)

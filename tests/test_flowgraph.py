@@ -26,6 +26,7 @@ from morseflow.flowgraph import (
 )
 from morseflow.gradcheck import NotRealizable, check_gradient_like
 
+from code_oracle import oracle_code
 from conftest import FLOW_FIXTURES, load_description, load_flow
 from test_gradcheck import _grow_saddle_path
 
@@ -241,8 +242,8 @@ random_descriptions = st.fixed_dictionaries({}, optional={
 def test_build_fuzzed_fixtures_raise_only_flow_error(data):
     """Replace, drop or duplicate keys and list entries of a fixture; build()
     either rejects the result with a FlowError or returns a flow that
-    round-trips through its description and whose double reverse keeps its
-    code."""
+    round-trips through its description, whose double reverse keeps its
+    code, and whose codes, plain and mirror, equal the oracle's."""
     desc = load_description(data.draw(st.sampled_from(FLOW_FIXTURES)))
     ids = sorted({e["id"] for e in desc["vertices"]} | set(desc.get("dart_dir", {})))
     # ids half of the time, so that some mutated descriptions still build
@@ -260,6 +261,8 @@ def test_build_fuzzed_fixtures_raise_only_flow_error(data):
     assert again.to_description() == flow.to_description()
     assert canonical_code(again) == canonical_code(flow)
     assert canonical_code(reverse(reverse(flow))) == canonical_code(flow)
+    for mirror in (False, True):
+        assert canonical_code(flow, mirror).code == oracle_code(flow, mirror)
 
 
 @settings(max_examples=200, deadline=None)
