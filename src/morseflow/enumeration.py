@@ -10,18 +10,18 @@ Coherence is derived, not tested: on the reduced map a saddle connection
 keeps a dart's parity and an extremum hop flips it, so a candidate is
 coherent iff each face has one sink hop and one source hop.
 
-One depth-first search yields the matchings that are live (no chain of
-connections closes without an extremum, which leaves no coherent candidate)
-and least in their orbit under the exact symmetry group of the encoding
-(saddle relabelings and half-turns of individual saddles), with their
-stabilizers.  The stabilizer prunes the sink permutations, and each kept one
-fixes the one coherent source permutation.  Each candidate is one array
-`part` (the partner of a matched dart, the next dart of an extremum cycle),
-filtered by connectivity and materialized through build(), which derives its
-genus and counts.  Every candidate is a distinct class: a repeated canonical
-code is an AssertionError, not a duplicate to drop.  A naive generator
-without any pruning, driven through the public build/validation pipeline,
-cross-checks the class sets at desk scale.
+One depth-first search yields every candidate least in its orbit under the
+exact symmetry group of the encoding (saddle relabelings and half-turns of
+individual saddles): a live matching (no chain of connections closes without
+an extremum, which leaves no coherent candidate), then a sink permutation
+pruned by the matching's stabilizer, whose every arc fixes one arc of the
+one coherent source permutation.  Each candidate is one array `part` (the
+partner of a matched dart, the next dart of an extremum cycle), filtered by
+connectivity and materialized through build(), which derives its genus and
+counts.  Every candidate is a distinct class: a repeated canonical code is
+an AssertionError, not a duplicate to drop.  A naive generator without any
+pruning, driven through the public build/validation pipeline, cross-checks
+the class sets at desk scale.
 """
 from __future__ import annotations
 
@@ -186,22 +186,22 @@ def _matchings(k: int):
                 yield tuple(list(zip(osub, iimg)))
 
 
-def _canonical_matchings(k: int):
-    """The live matchings least in their orbit under the encoding group,
-    each as (matching, stab) with its stabilizer in group order.
+def _candidates(k: int):
+    """Every coherent candidate least in its orbit under the encoding group,
+    as (matching, sink_fed, source_fed, part), with one part list reused.
 
-    One depth-first search matches out-darts in ascending order and drops a
-    branch at the first pair that fails a test.  Live: a chain follows
-    d -> rotation successor of part[d], a one-to-one map, so a chain closed
-    without an extremum is a cycle of matched darts, through a or b if the
-    pair (a, b) closed it.  Least: a pair is coded a * 4k + b, which keeps
-    pair order, and no symmetry's table of pair images maps the codes to a
-    smaller sorted list.  Symmetries keep both properties, and both survive
-    the removal of the largest pair (Read 1978), so no dropped branch holds
-    a kept matching."""
+    One depth-first search matches out-darts in ascending order, then maps
+    the ascending sink-fed darts to sinks, and drops a branch at the first
+    pair or arc that fails a test.  Live: a chain follows d -> rotation
+    successor of part[d], one to one, so a chain closed without an extremum
+    is a cycle through a or b if the pair (a, b) closed it.  Least: a pair
+    (a, b), or a sink arc (d, sigma(d)), is coded a * 4k + b, and no table
+    maps the pair codes, or the arc codes under a table that fixes the pair
+    codes, to a smaller sorted list.  Symmetries keep both properties, and
+    both survive the removal of the largest pair or arc (Read 1978)."""
     n = 4 * k
-    group = _symmetries(k)
-    tables = [[g[a] * n + g[b] for a in range(n) for b in range(n)] for g in group]
+    # the identity, first in group order, passes every test
+    tables = [[g[a] * n + g[b] for a in range(n) for b in range(n)] for g in _symmetries(k)][1:]
     part = list(range(n))
     codes = []
 
@@ -213,41 +213,65 @@ def _canonical_matchings(k: int):
             if x == d or part[x] == x:
                 return x == d
 
-    def least():
-        return all(sorted(map(table.__getitem__, codes)) >= codes for table in tables)
-
     def extend(a, pairs):
         if a == n:
-            yield pairs, [g for g, table in zip(group, tables)
-                          if sorted(map(table.__getitem__, codes)) == codes]
+            yield from sinks(pairs)
             return
         yield from extend(a + 2, pairs)
         for b in range(1, n, 2):
             if part[b] == b:
                 part[a], part[b] = b, a
                 codes.append(a * n + b)
-                if not (closes(a) or closes(b)) and least():
+                if not (closes(a) or closes(b)) and all(
+                        sorted(map(table.__getitem__, codes)) >= codes for table in tables):
                     yield from extend(a + 2, pairs + ((a, b),))
                 codes.pop()
                 part[a], part[b] = a, b
 
+    def sinks(matching):
+        ends = _hop_ends(n, part)
+        # the search lets no closed chain through
+        if ends is None:
+            raise AssertionError(matching)
+        sink_fed = [d for d in range(0, n, 2) if part[d] == d]
+        source_fed = [d for d in range(1, n, 2) if part[d] == d]
+        fed_by = {ends[y]: y for y in source_fed}
+        cand = part[:]
+        free = [True] * n
+        arcs = []
+
+        def choose(i, pending):
+            if i == len(sink_fed):
+                yield matching, sink_fed, source_fed, cand
+                return
+            d = sink_fed[i]
+            for e in sink_fed:
+                if free[e]:
+                    free[e] = False
+                    cand[d] = e
+                    # the one coherent source permutation: the face that hops
+                    # from d to its sink must hop back through the source that
+                    # leads to d
+                    cand[ends[e]] = fed_by[d]
+                    arcs.append(d * n + e)
+                    live = []
+                    for table in pending:
+                        c = sorted(map(table.__getitem__, arcs))
+                        if c < arcs:
+                            break
+                        # a table that maps the sink-fed darts up to d onto
+                        # themselves, and the arcs to a larger list, does so
+                        # for every extension: later arcs sort after these
+                        if c == arcs or c[-1] // n > d:
+                            live.append(table)
+                    else:
+                        yield from choose(i + 1, live)
+                    arcs.pop()
+                    free[e] = True
+
+        yield from choose(0, [t for t in tables if sorted(map(t.__getitem__, codes)) == codes])
+
     return extend(0, ())
-
-
-def _sink_variants(darts: list, stab: list) -> list:
-    """Images of the ascending darts under the sink permutations that are
-    least under conjugation by the stabilizer; coverage is preserved because
-    the stabilizer acts jointly on both extremum sides."""
-    index = {d: i for i, d in enumerate(darts)}
-    inverses = [sorted(range(len(g)), key=g.__getitem__) for g in stab]
-    variants = []
-    for images in permutations(darts):
-        for g, ginv in zip(stab, inverses):
-            if tuple([g[images[index[ginv[d]]]] for d in darts]) < images:
-                break
-        else:
-            variants.append(images)
-    return variants
 
 
 def _connected(k: int, part: list) -> bool:
@@ -349,43 +373,20 @@ def _generate(k: int):
         yield _record(flow, canonical_code(flow))
         return
 
-    n = 4 * k
     records = []
-
-    for matching, stab in _canonical_matchings(k):
-        # unmatched darts stay fixed until an extremum permutation moves them
-        part = list(range(n))
-        for a, b in matching:
-            part[a] = b
-            part[b] = a
-        ends = _hop_ends(n, part)
-        # the search lets no closed chain through
-        if ends is None:
+    for matching, sink_fed, source_fed, part in _candidates(k):
+        if not _connected(k, part):
+            continue
+        flow = build(_materialize(k, matching, _cycles(part, source_fed),
+                                  _cycles(part, sink_fed)))
+        # the derivation must agree with build()'s own face trace
+        if not (face_coherence_check(flow) and flowgraph.poincare_hopf_check(flow)):
             raise AssertionError(matching)
-        sink_fed = [d for d in range(0, n, 2) if part[d] == d]
-        source_fed = [d for d in range(1, n, 2) if part[d] == d]
-        fed_by = [-1] * n
-        for y in source_fed:
-            fed_by[ends[y]] = y
-
-        for snk_images in _sink_variants(sink_fed, stab):
-            # the one coherent source permutation: the face that hops from d
-            # to its sink must hop back through the source that leads to d
-            for d, img in zip(sink_fed, snk_images):
-                part[d] = img
-                part[ends[img]] = fed_by[d]
-            if not _connected(k, part):
-                continue
-            flow = build(_materialize(k, matching, _cycles(part, source_fed),
-                                      _cycles(part, sink_fed)))
-            # the derivation must agree with build()'s own face trace
-            if not (face_coherence_check(flow) and flowgraph.poincare_hopf_check(flow)):
-                raise AssertionError(matching)
-            records.append(_record(flow, canonical_code(flow)))
+        records.append(_record(flow, canonical_code(flow)))
 
     records.sort(key=lambda r: r.code.code)
-    # equivalent flows have matchings in one orbit, and equal sink
-    # permutations up to the stabilizer, so a class is built once
+    # equivalent candidates lie in one orbit of the encoding group, whose
+    # least member alone the search keeps, so a class is built once
     for r, nxt in zip(records, records[1:]):
         if r.code.code == nxt.code.code:
             raise AssertionError(r.code.as_string())

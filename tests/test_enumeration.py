@@ -16,12 +16,11 @@ from morseflow.enumeration import (
     CountRow,
     EnumSpec,
     SpecOutOfBounds,
-    _canonical_matchings,
+    _candidates,
     _connected,
     _cyclic_set_partitions,
     _hop_ends,
     _matchings,
-    _sink_variants,
     _symmetries,
     count_table,
     enumerate_classes,
@@ -93,13 +92,50 @@ def _apply_to_matching(g: tuple, matching: tuple) -> tuple:
     return tuple(sorted((g[a], g[b]) for a, b in matching))
 
 
+def _stabilizer(group: list, matching: tuple) -> list:
+    return [g for g in group if _apply_to_matching(g, matching) == matching]
+
+
 def _oracle_canonical_matchings(k):
     """(matching, stab) for the matchings least in their orbit: every image
     of every matching, compared as sorted pairs."""
     group = _symmetries(k)
-    return [(matching, [g for g in group if _apply_to_matching(g, matching) == matching])
+    return [(matching, _stabilizer(group, matching))
             for matching in _matchings(k)
             if not any(_apply_to_matching(g, matching) < matching for g in group)]
+
+
+def _sink_variants(darts: list, stab: list) -> list:
+    """Images of the ascending darts under the sink permutations that are
+    least under conjugation by the stabilizer; coverage is preserved because
+    the stabilizer acts jointly on both extremum sides."""
+    index = {d: i for i, d in enumerate(darts)}
+    inverses = [sorted(range(len(g)), key=g.__getitem__) for g in stab]
+    variants = []
+    for images in permutations(darts):
+        for g, ginv in zip(stab, inverses):
+            if tuple([g[images[index[ginv[d]]]] for d in darts]) < images:
+                break
+        else:
+            variants.append(images)
+    return variants
+
+
+def _sink_fed(k: int, matching: tuple) -> list:
+    matched = {d for pair in matching for d in pair}
+    return [d for d in range(0, 4 * k, 2) if d not in matched]
+
+
+def _stream(k: int) -> list:
+    """The search's (matching, sigma) stream, with sigma as the images of the
+    ascending sink-fed darts."""
+    return [(matching, tuple(part[d] for d in sink_fed))
+            for matching, sink_fed, _, part in _candidates(k)]
+
+
+def _searched_matchings(k: int) -> list:
+    """The matchings of the search, each once, in the order it yields them."""
+    return list(dict.fromkeys(matching for matching, _ in _stream(k)))
 
 
 def _live(k: int, matching: tuple) -> bool:
@@ -113,9 +149,8 @@ def _live(k: int, matching: tuple) -> bool:
 def test_canonical_matchings_match_the_oracle(k):
     """The generator's orbit test sees only live matchings; the oracle walks
     the whole group over every matching and is filtered afterwards."""
-    assert sorted(_canonical_matchings(k)) == sorted(
-        (matching, stab) for matching, stab in _oracle_canonical_matchings(k)
-        if _live(k, matching))
+    assert sorted(_searched_matchings(k)) == sorted(
+        matching for matching, _ in _oracle_canonical_matchings(k) if _live(k, matching))
 
 
 @pytest.mark.parametrize("k, live", [(1, 1), (2, 29), (3, 1213)])
@@ -124,9 +159,9 @@ def test_live_matchings_are_the_matchings_with_hop_ends(k, live):
     closes without an extremum, and the kept matchings weighted by orbit size
     |G|/|Stab M| count the live matchings: each live orbit appears once."""
     group = _symmetries(k)
-    kept = list(_canonical_matchings(k))
-    assert all(list(m) == sorted(m) and _live(k, m) for m, _ in kept)
-    assert sum(len(group) // len(stab) for _, stab in kept) == live
+    kept = _searched_matchings(k)
+    assert all(list(m) == sorted(m) and _live(k, m) for m in kept)
+    assert sum(len(group) // len(_stabilizer(group, m)) for m in kept) == live
     assert live == sum(1 for m in _matchings(k) if _live(k, m))
 
 
@@ -136,19 +171,47 @@ def test_every_prefix_of_a_kept_matching_is_least(k):
     orbit, which loses no kept matching only if every prefix of a kept
     matching is least (Read 1978)."""
     group = _symmetries(k)
-    for matching, _ in _canonical_matchings(k):
+    for matching in _searched_matchings(k):
         for t in range(len(matching) + 1):
             prefix = matching[:t]
             assert all(_apply_to_matching(g, prefix) >= prefix for g in group)
 
 
-def test_canonical_matchings_at_four_saddles():
-    """At k = 4, beyond the cap, the 328 kept matchings weighted by orbit
-    size count the 115,609 live matchings that the filter of every live
-    matching through the orbit test counted."""
-    kept = list(_canonical_matchings(4))
-    assert len(kept) == 328
-    assert sum(384 // len(stab) for _, stab in kept) == 115609
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_every_prefix_of_a_kept_sink_permutation_is_least(k):
+    """The same for the sink arcs (d, sigma(d)) of the ascending sink-fed
+    darts, under the stabilizer of the matching: every other symmetry maps
+    the matching to a larger one already."""
+    group = _symmetries(k)
+    for matching, images in _stream(k):
+        stab = _stabilizer(group, matching)
+        arcs = tuple(zip(_sink_fed(k, matching), images))
+        for t in range(len(arcs) + 1):
+            prefix = arcs[:t]
+            assert all(_apply_to_matching(g, prefix) >= prefix for g in stab)
+
+
+@pytest.mark.parametrize("k, variants", [(1, 2), (2, 19), (3, 290), (4, 7413)])
+def test_search_stream_matches_the_sink_variants_oracle(k, variants):
+    """The search yields, for each matching and in the same order, the sink
+    permutations that the conjugation oracle _sink_variants keeps.  For
+    k <= 3 the matchings are the oracle's live canonical ones (compared in
+    sorted order, which keeps each matching's sigma order).  At k = 4,
+    beyond the cap, they are the search's own 328, whose orbit sizes count
+    the 115,609 live matchings."""
+    group = _symmetries(k)
+    stream = _stream(k)
+    if k < 4:
+        matchings = sorted(m for m, _ in _oracle_canonical_matchings(k) if _live(k, m))
+        stream.sort(key=lambda item: item[0])
+    else:
+        matchings = list(dict.fromkeys(m for m, _ in stream))
+        assert len(matchings) == 328
+        assert sum(384 // len(_stabilizer(group, m)) for m in matchings) == 115609
+    oracle = [(m, images) for m in matchings
+              for images in _sink_variants(_sink_fed(k, m), _stabilizer(group, m))]
+    assert stream == oracle
+    assert len(stream) == variants
 
 
 def test_liveness_is_constant_on_orbits():
@@ -199,12 +262,14 @@ def _coherent(n: int, part: list, is_ext: list) -> bool:
 def test_derived_source_permutation_matches_the_oracle(k, canonical, live, derived, connected):
     """For every canonical matching of the oracle, dead ones included, and
     every kept sink permutation sigma, the source permutations that pass the
-    reference face trace _coherent are exactly the one the generator derives,
+    reference face trace _coherent are exactly the one the search derives,
     tau(ends[sigma(d)]) = the source-fed y with ends[y] = d, or none when
     _hop_ends finds a chain of connections without an extremum.  Counts:
     canonical matchings, live matchings, derived candidates, connected
     candidates."""
     n = 4 * k
+    searched = {(matching, tuple(part[d] for d in sink_fed)): tuple(part)
+                for matching, sink_fed, _, part in _candidates(k)}
     counts = [0, 0, 0, 0]
     for matching, stab in _oracle_canonical_matchings(k):
         counts[0] += 1
@@ -237,8 +302,10 @@ def test_derived_source_permutation_matches_the_oracle(k, canonical, live, deriv
             counts[2] += 1
             for y in source_fed:
                 part[y] = tau[y]
+            assert searched[(matching, snk_images)] == tuple(part)
             counts[3] += _connected(k, part)
     assert counts == [canonical, live, derived, connected]
+    assert len(searched) == derived
 
 
 @pytest.mark.parametrize("k, matchings, candidates", [(1, 7, 2), (2, 209, 100), (3, 13327, 11344)])
@@ -247,20 +314,24 @@ def test_orbit_counting_identities(k, matchings, candidates):
 
     G, the saddle relabelings and half-turns, acts on the unpruned encoding.
     (a) The canonical matchings, weighted by orbit size |G|/|Stab M|, count
-    every matching.  (a') For each canonical M, the sink permutations kept by
-    _sink_variants, weighted by |Stab M|/|C(sigma)|, count every permutation.
-    (b) The classes, weighted by |G|/|Aut c|, count the coherent connected
-    candidates of the unpruned encoding, obtained from the kept (M, sigma)
-    weighted by |G|/|C(sigma)|.  (a) and (a') catch a wrong orbit test or a
-    lost representative; (b) catches a code collision or a missed duplicate.
-    The face filter is the reference trace _coherent, which the generator no
-    longer runs; the connectivity filter is shared with the generator and is
-    covered by the naive cross-check at k <= 2.
+    every matching.  (a') For each canonical M, the sink permutations the
+    search yields (the oracle _sink_variants keeps them for a dead M, which
+    the search never reaches), weighted by |Stab M|/|C(sigma)|, count every
+    permutation.  (b) The classes, weighted by |G|/|Aut c|, count the
+    coherent connected candidates of the unpruned encoding, obtained from the
+    kept (M, sigma) weighted by |G|/|C(sigma)|.  (a) and (a') catch a wrong
+    orbit test or a lost representative; (b) catches a code collision or a
+    missed duplicate.  The face filter is the reference trace _coherent,
+    which the generator no longer runs; the connectivity filter is shared
+    with the generator and is covered by the naive cross-check at k <= 2.
     """
     group = _symmetries(k)
     assert len(group) == math.factorial(k) * 2 ** k
     n = 4 * k
     assert sum(math.comb(2 * k, t) * math.perm(2 * k, t) for t in range(2 * k + 1)) == matchings
+    searched = {}
+    for matching, images in _stream(k):
+        searched.setdefault(matching, []).append(images)
     matching_mass = 0
     candidate_mass = 0
     for matching, stab in _oracle_canonical_matchings(k):
@@ -272,7 +343,8 @@ def test_orbit_counting_identities(k, matchings, candidates):
         sink_fed = [d for d in range(n) if is_ext[d] and d % 2 == 0]
         source_fed = [d for d in range(n) if is_ext[d] and d % 2 == 1]
         sigma_mass = 0
-        for snk_images in _sink_variants(sink_fed, stab):
+        variants = searched[matching] if _live(k, matching) else _sink_variants(sink_fed, stab)
+        for snk_images in variants:
             sigma = dict(zip(sink_fed, snk_images))
             centralizer = sum(1 for g in stab if all(g[sigma[d]] == sigma[g[d]] for d in sink_fed))
             assert len(stab) % centralizer == 0
@@ -294,6 +366,48 @@ def test_orbit_counting_identities(k, matchings, candidates):
         assert len(group) % aut == 0
         class_mass += len(group) // aut
     assert class_mass == candidate_mass == candidates
+
+
+def test_class_mass_by_the_exponential_formula():
+    """An independent count of the class mass, sharing no pruning with the
+    search (Harary & Palmer 1973; Flajolet & Sedgewick 2009, ch. II).
+
+    On k labelled saddles a live matching M leaves m = 2k - |M| sink-fed
+    darts, and each of the m! sink permutations fixes one coherent source
+    permutation; its cycles are the sinks, and the unsigned Stirling number
+    c(m, j) counts the permutations with j cycles.  So A_k(u), the coherent
+    candidates by sink count, connected or not, sums c(m, .) over the live
+    matchings of the brute-force _matchings(k).  Splitting off the component
+    of saddle 0 gives A_n = sum_j C(n - 1, j - 1) C_j A_{n - j}, which yields
+    the connected ones C_k(u).  The classes with j sinks, weighted by
+    |G|/|Aut c|, count the coefficient of u^j in C_k."""
+    # polynomials in u as coefficient lists for sink counts 0..6
+    def times(p, q):
+        return [sum(p[i] * q[j - i] for i in range(j + 1)) for j in range(7)]
+
+    stirling = [[1, 0, 0, 0, 0, 0, 0]]
+    for m in range(6):
+        stirling.append([m * c + lower for c, lower in zip(stirling[m], [0] + stirling[m])])
+    labelled = {0: stirling[0]}
+    connected = {}
+    for k in (1, 2, 3):
+        labelled[k] = [sum(column) for column in zip(*(
+            stirling[2 * k - len(m)] for m in _matchings(k) if _live(k, m)))]
+        connected[k] = labelled[k]
+        for j in range(1, k):
+            split = times(connected[j], labelled[k - j])
+            connected[k] = [c - math.comb(k - 1, j - 1) * x for c, x in zip(connected[k], split)]
+    assert [sum(labelled[k]) for k in (1, 2, 3)] == [2, 104, 11952]
+    assert [sum(connected[k]) for k in (1, 2, 3)] == [2, 100, 11344]
+    assert connected[3] == [0, 3288, 5344, 2384, 328, 0, 0]
+    for k in (1, 2, 3):
+        order = math.factorial(k) * 2 ** k
+        by_sinks = [0] * 7
+        for rec in enumerate_classes(k):
+            aut = _aut_order(rec.flow)
+            assert order % aut == 0
+            by_sinks[rec.sinks] += order // aut
+        assert by_sinks == connected[k]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
